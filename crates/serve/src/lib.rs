@@ -4,12 +4,17 @@
 //! The forest gives linearizable point ops and ordered scans per shard;
 //! this crate puts a serving front end on it:
 //!
-//! - **Thread-per-core drain workers** — one worker thread per shard owns
-//!   a long-lived forest session and a bounded mailbox
+//! - **Run to completion when idle** — each shard has one executor state
+//!   (a long-lived forest session) and a bounded mailbox
 //!   ([`BatchQueue`]); requests route to shards with the forest's own
-//!   router, so data and execution stay colocated.
-//! - **Per-shard batching** — workers drain up to `batch_max` requests
-//!   per queue-lock acquisition and execute them in arrival order.
+//!   router. A request whose shard is idle executes on the submitting
+//!   thread and returns an already-resolved [`Ticket`], with no thread
+//!   hand-off; whoever holds the queue's execution claim is the only thread
+//!   executing that shard.
+//! - **Per-shard batching** — a request that finds its shard busy is
+//!   queued; the shard's drain worker takes the claim and drains up to
+//!   `batch_max` requests per queue-lock acquisition, executing them in
+//!   arrival order.
 //! - **Admission control** — a shard queue at its `high_water` mark
 //!   rejects with [`SubmitError::Rejected`] carrying a `retry_after`
 //!   hint instead of queueing unboundedly; the blocking
@@ -21,8 +26,8 @@
 //! Correctness is proven *at this boundary*: [`Server`] implements
 //! [`ConcurrentMap`](citrus_api::ConcurrentMap), so the WGL
 //! linearizability checker and the oracle-conformance harness drive the
-//! full submit → queue → batch → respond pipeline, not just the
-//! underlying map. A planted `serve/drain/ack-before-apply` mutant
+//! full submit → (inline execution | queue → batch) → respond pipeline,
+//! not just the underlying map. A planted `serve/drain/ack-before-apply` mutant
 //! (acknowledge a write with a predicted result before executing it)
 //! exists purely so the test suite can demonstrate the checker rejects a
 //! server that reorders responses.
@@ -40,7 +45,7 @@
 //! client.insert(9, 900);
 //! assert_eq!(client.get(&7), Some(700));
 //! assert_eq!(client.range_scan(&0, &10), vec![(7, 700), (9, 900)]);
-//! server.shutdown(); // drains in-flight batches, then joins workers
+//! server.shutdown(); // drains queued requests, then joins workers
 //! ```
 
 #![warn(missing_docs)]

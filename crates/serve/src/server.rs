@@ -1,16 +1,26 @@
-//! The server proper: shard-owned drain workers over a [`CitrusForest`],
-//! plus the client-side [`ServeSession`] that makes the whole pipeline
-//! look like an ordinary [`MapSession`].
+//! The server proper: per-shard executors over a [`CitrusForest`], plus
+//! the client-side [`ServeSession`] that makes the whole pipeline look
+//! like an ordinary [`MapSession`].
 //!
 //! # Shape
 //!
-//! One worker thread per forest shard (the thread-per-core layout) owns a
-//! [`BatchQueue`] mailbox and a long-lived `ForestSession`. Clients route
-//! each request to its shard with the forest's own router
-//! ([`CitrusForest::shard_for`]), so a request and the data it touches
-//! always meet on the same worker; the worker drains up to
-//! `batch_max` requests per queue-lock acquisition and executes them in
-//! arrival order against its session.
+//! Each forest shard has a [`BatchQueue`] mailbox, one executor state (a
+//! long-lived `ForestSession` opened on first use) and one drain worker
+//! thread. Clients route each request to its shard with the forest's own
+//! router ([`CitrusForest::shard_for`]). Whoever holds the queue's
+//! [`Claim`] executes the shard's requests with its executor state, so
+//! at most one thread executes a shard at a time:
+//!
+//! - **Run to completion when idle.** If the shard is idle (nothing
+//!   queued, nothing executing, not paused or closed), `submit` takes
+//!   the claim and executes the request on the calling thread, returning
+//!   a ticket that is already resolved. No thread is woken.
+//! - **Queue when busy.** Otherwise the request is queued; the worker
+//!   takes the claim per batch, drains up to `batch_max` requests per
+//!   queue-lock acquisition and executes them in arrival order.
+//!
+//! A request runs inline only when nothing is queued ahead of it, so
+//! each shard still executes its requests in submission order.
 //!
 //! # Correctness at this boundary
 //!
@@ -22,20 +32,21 @@
 //! (which acknowledges a write with a predicted result before executing
 //! it) deliberately breaks.
 
+use std::cell::UnsafeCell;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use citrus::{CitrusForest, RcuFlavor, ScalableRcu};
+use citrus::{CitrusForest, ForestSession, RcuFlavor, ScalableRcu};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::Stopwatch;
 
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
-use crate::queue::{BatchQueue, OfferError};
+use crate::queue::{BatchQueue, Claim, OfferError};
 
 /// The three latency classes a request falls into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -162,30 +173,49 @@ impl std::error::Error for ServerClosed {}
 /// The response rendezvous: the worker delivers into it, the client waits
 /// on it.
 struct Slot<K, V> {
-    resp: Mutex<Option<Response<K, V>>>,
+    state: Mutex<SlotState<K, V>>,
     cv: Condvar,
 }
 
+struct SlotState<K, V> {
+    resp: Option<Response<K, V>>,
+    /// The ticket holder is parked in `wait`: only then does delivery
+    /// need a (syscall-priced) notify.
+    waiting: bool,
+}
+
 impl<K, V> Slot<K, V> {
-    fn new() -> Self {
+    fn new(resp: Option<Response<K, V>>) -> Self {
         Self {
-            resp: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                resp,
+                waiting: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn deliver(&self, resp: Response<K, V>) {
-        let mut g = self.resp.lock().unwrap_or_else(PoisonError::into_inner);
-        *g = Some(resp);
+        let mut g = self.lock();
+        g.resp = Some(resp);
+        let wake = g.waiting;
         drop(g);
-        self.cv.notify_one();
+        if wake {
+            self.cv.notify_one();
+        }
     }
 }
 
 /// A claim check for one accepted request. Every accepted request is
 /// eventually delivered — including during a shutdown drain — so
-/// [`wait`](Ticket::wait) always returns. Dropping a ticket abandons the
-/// response harmlessly (the worker still executes the request).
+/// [`wait`](Ticket::wait) always returns. A request that ran on the
+/// submitting thread comes back with its ticket already resolved.
+/// Dropping a ticket abandons the response harmlessly (the request is
+/// still executed).
 pub struct Ticket<K, V> {
     slot: Arc<Slot<K, V>>,
 }
@@ -199,18 +229,15 @@ impl<K, V> std::fmt::Debug for Ticket<K, V> {
 }
 
 impl<K, V> Ticket<K, V> {
-    /// Blocks until the worker delivers this request's response.
+    /// Blocks until this request's response is delivered.
     #[must_use]
     pub fn wait(self) -> Response<K, V> {
-        let mut g = self
-            .slot
-            .resp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.slot.lock();
         loop {
-            if let Some(r) = g.take() {
+            if let Some(r) = g.resp.take() {
                 return r;
             }
+            g.waiting = true;
             g = self.slot.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -218,11 +245,7 @@ impl<K, V> Ticket<K, V> {
     /// `true` once the response has been delivered (non-blocking).
     #[must_use]
     pub fn is_ready(&self) -> bool {
-        self.slot
-            .resp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        self.slot.lock().resp.is_some()
     }
 }
 
@@ -239,12 +262,14 @@ pub struct ServeCounters {
     rejected: AtomicU64,
     batches: AtomicU64,
     executed: AtomicU64,
+    inline_executed: AtomicU64,
     acked_writes: AtomicU64,
     recycled_sessions: AtomicU64,
 }
 
 impl ServeCounters {
-    /// Requests admitted into a shard queue.
+    /// Requests admitted: queued for a shard worker or executed on the
+    /// submitting thread.
     #[must_use]
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
@@ -256,7 +281,9 @@ impl ServeCounters {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Batches drained by shard workers.
+    /// Batches executed: drained by shard workers, plus one per request
+    /// executed on the submitting thread, so `executed / batches` is the
+    /// mean batch size.
     #[must_use]
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
@@ -268,6 +295,13 @@ impl ServeCounters {
         self.executed.load(Ordering::Relaxed)
     }
 
+    /// Requests executed on the submitting thread because their shard
+    /// was idle (a subset of [`executed`](Self::executed)).
+    #[must_use]
+    pub fn inline_executed(&self) -> u64 {
+        self.inline_executed.load(Ordering::Relaxed)
+    }
+
     /// Write responses delivered to clients. The shutdown-drain contract
     /// is about exactly these: every one of them is visible in the final
     /// forest state.
@@ -276,7 +310,7 @@ impl ServeCounters {
         self.acked_writes.load(Ordering::Relaxed)
     }
 
-    /// Worker forest-sessions dropped and reopened by the
+    /// Executor forest-sessions dropped and reopened by the
     /// `recycle_ops` churn knob.
     #[must_use]
     pub fn recycled_sessions(&self) -> u64 {
@@ -284,28 +318,186 @@ impl ServeCounters {
     }
 }
 
-struct ServerInner<K, V, F: RcuFlavor> {
+struct ServerInner<K: 'static, V: 'static, F: RcuFlavor> {
+    /// Declared before `forest`: each shard's executor session borrows
+    /// the forest, so it must be dropped first.
+    shards: Vec<Shard<K, V, F>>,
     forest: CitrusForest<K, V, F>,
-    queues: Vec<BatchQueue<Envelope<K, V>>>,
     config: ServeConfig,
     counters: ServeCounters,
     metrics: ServeMetrics,
 }
 
-/// The batched, backpressured request layer over a [`CitrusForest`].
-///
-/// Construction spawns one named worker thread per shard; [`Drop`] (or an
-/// explicit [`shutdown`](Server::shutdown)) closes admission, drains every
-/// queued request, and joins the workers — no acknowledged write is ever
-/// lost to a shutdown.
-pub struct Server<K, V, F: RcuFlavor = ScalableRcu>
+/// One shard's mailbox and the executor state that the holder of the
+/// mailbox's [`Claim`] executes requests with.
+struct Shard<K: 'static, V: 'static, F: RcuFlavor> {
+    queue: BatchQueue<Envelope<K, V>>,
+    executor: UnsafeCell<Executor<K, V, F>>,
+}
+
+// SAFETY: `executor` is reached only through `Shard::executor`, which
+// requires this shard's queue claim, and the queue grants at most one
+// claim at a time, taking and releasing it under the queue mutex. So no
+// two threads ever access an executor at once (`Sync`), and each holder
+// happens-after the previous one. An executor does move between threads
+// (`Send`): from one claim holder to the next, and to whichever thread
+// drops the server. Field by field:
+// - `session`: a `ForestSession`, not `Send` because its per-shard RCU
+//   reader and EBR participant slots must not migrate inside a read-side
+//   section or an epoch pin. Every session operation enters and leaves
+//   both within the call, so between operations — the only points where
+//   a claim changes hands — read-side nesting and pin depth are zero and
+//   the slots carry no per-thread state. Its unflushed retire lists and
+//   `Leak`-mode graveyard hold unlinked nodes of `K` and `V`, which may
+//   be freed on any thread because `K, V: Send`. Its references to the
+//   forest and its trees may cross threads because the forest is `Sync`
+//   for `K, V: Send + Sync`; the forest outlives the session (see
+//   `ServerInner::execute`).
+// - `stashed`: a `Request<K, V>`, `Send` because `K, V: Send`.
+// - `since_recycle`: a plain integer.
+// `queue` is `Send + Sync` whenever `Envelope<K, V>` is `Send`, i.e. for
+// `K, V: Send`.
+unsafe impl<K, V, F> Send for Shard<K, V, F>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    F: RcuFlavor,
+{
+}
+// SAFETY: as for `Send` above.
+unsafe impl<K, V, F> Sync for Shard<K, V, F>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    F: RcuFlavor,
+{
+}
+
+impl<K: 'static, V: 'static, F: RcuFlavor> Shard<K, V, F> {
+    fn new() -> Self {
+        Self {
+            queue: BatchQueue::new(),
+            executor: UnsafeCell::new(Executor {
+                session: None,
+                since_recycle: 0,
+                stashed: None,
+            }),
+        }
+    }
+
+    /// The executor state, for as long as `claim` — this shard's queue
+    /// claim — stays borrowed.
+    fn executor<'c>(
+        &'c self,
+        claim: &'c mut Claim<'_, Envelope<K, V>>,
+    ) -> &'c mut Executor<K, V, F> {
+        assert!(
+            claim.is_for(&self.queue),
+            "executor access needs this shard's claim"
+        );
+        // SAFETY: the claim is this queue's, so no other thread holds
+        // one, and the exclusive borrow of it lasts as long as the
+        // returned reference, so this thread cannot obtain a second
+        // reference either (see the `Sync` impl above).
+        unsafe { &mut *self.executor.get() }
+    }
+}
+
+/// What a shard's requests execute with, owned by the holder of the
+/// shard's claim: the worker for a batch, or a submitting caller for one
+/// request on an idle shard.
+struct Executor<K: 'static, V: 'static, F: RcuFlavor> {
+    /// Opened on first use, so building a server opens no session. The
+    /// `'static` stands for "as long as the server's forest", see
+    /// [`ServerInner::execute`].
+    session: Option<ForestSession<'static, K, V, F>>,
+    /// Requests executed since the session was last opened.
+    since_recycle: u64,
+    /// The `serve/drain/ack-before-apply` mutant stashes at most one
+    /// acknowledged-but-unexecuted write here. The stash is applied after
+    /// the *next* request executes (that misordering is the planted bug),
+    /// before a session recycle, and when the worker exits — so even the
+    /// mutant never loses an acknowledged write, it only reorders it.
+    stashed: Option<Request<K, V>>,
+}
+
+impl<K, V, F: RcuFlavor> Executor<K, V, F>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    inner: Arc<ServerInner<K, V, F>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    closed: AtomicBool,
+    /// Applies the mutant's stashed write, if any.
+    fn apply_stash(&mut self) {
+        if let (Some(req), Some(session)) = (self.stashed.take(), self.session.as_mut()) {
+            let _ = exec(session, req);
+        }
+    }
+}
+
+impl<K, V, F> ServerInner<K, V, F>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    F: RcuFlavor,
+{
+    /// Executes `req` with shard `idx`'s executor state, under that
+    /// shard's `claim`, and returns its response — counted as executed
+    /// (and as an acked write) before the caller can deliver it. The
+    /// workers and inline submits both execute through here.
+    fn execute(
+        &self,
+        idx: usize,
+        claim: &mut Claim<'_, Envelope<K, V>>,
+        req: Request<K, V>,
+    ) -> Response<K, V> {
+        let executor = self.shards[idx].executor(claim);
+        let session = executor.session.get_or_insert_with(|| {
+            // SAFETY: only the lifetime changes. The session borrows
+            // `self.forest`, which sits beside the executor in this
+            // `ServerInner`, inside an `Arc` that never moves it while a
+            // session exists: `shards` is declared before `forest`, so an
+            // in-place drop closes every session first, and
+            // `Server::into_forest` drops the shards before it moves the
+            // forest out.
+            unsafe {
+                std::mem::transmute::<ForestSession<'_, K, V, F>, ForestSession<'static, K, V, F>>(
+                    self.forest.session(),
+                )
+            }
+        });
+        let stashed = executor.stashed.take();
+        if chaos::mutant_enabled("serve/drain/ack-before-apply") && req.is_write() {
+            if let Some(prev) = stashed {
+                let _ = exec(session, prev);
+            }
+            let predicted = match &req {
+                Request::Insert(k, _) => Response::Flag(!session.contains(k)),
+                Request::Remove(k) => Response::Flag(session.contains(k)),
+                _ => unreachable!("is_write() covers exactly insert/remove"),
+            };
+            self.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+            executor.stashed = Some(req);
+            return predicted;
+        }
+        let is_write = req.is_write();
+        let resp = exec(session, req);
+        self.counters.executed.fetch_add(1, Ordering::Relaxed);
+        if is_write {
+            self.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(prev) = stashed {
+            let _ = exec(session, prev);
+        }
+        executor.since_recycle += 1;
+        if self.config.recycle_ops > 0 && executor.since_recycle >= self.config.recycle_ops {
+            executor.session = None;
+            self.counters
+                .recycled_sessions
+                .fetch_add(1, Ordering::Relaxed);
+            executor.since_recycle = 0;
+        }
+        resp
+    }
 }
 
 /// Executes one request against a forest session, consuming the request.
@@ -326,78 +518,43 @@ where
 
 fn worker_loop<K, V, F>(inner: &ServerInner<K, V, F>, shard: usize)
 where
-    K: Ord + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
     F: RcuFlavor,
 {
-    let mut session = inner.forest.session();
-    let mut since_recycle = 0u64;
-    // The `serve/drain/ack-before-apply` mutant stashes at most one
-    // acknowledged-but-unexecuted write here. The stash is applied after
-    // the *next* request executes (that misordering is the planted bug),
-    // before a session recycle, and at worker exit — so even the mutant
-    // never loses an acknowledged write, it only reorders it.
-    let mut stashed: Option<Request<K, V>> = None;
     loop {
-        let batch = inner.queues[shard].take_batch(inner.config.batch_max);
+        let mut batch = inner.shards[shard].queue.take_batch(inner.config.batch_max);
         if batch.closing {
             chaos::point!("serve/shutdown/drain");
             if batch.items.is_empty() {
-                break;
+                inner.shards[shard].executor(&mut batch.claim).apply_stash();
+                return;
             }
-        }
-        if batch.items.is_empty() {
-            continue;
         }
         chaos::point!("serve/batch/drain");
         inner.counters.batches.fetch_add(1, Ordering::Relaxed);
         inner.metrics.batch_size.record(batch.items.len() as u64);
         for env in batch.items {
-            if chaos::mutant_enabled("serve/drain/ack-before-apply") && env.req.is_write() {
-                if let Some(prev) = stashed.take() {
-                    let _ = exec(&mut session, prev);
-                }
-                let predicted = match &env.req {
-                    Request::Insert(k, _) => Response::Flag(!session.contains(k)),
-                    Request::Remove(k) => Response::Flag(session.contains(k)),
-                    _ => unreachable!("is_write() covers exactly insert/remove"),
-                };
-                // Count before delivering: once a client sees its
-                // response, the counter must already include it.
-                inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
-                env.slot.deliver(predicted);
-                stashed = Some(env.req);
-                continue;
-            }
-            let is_write = env.req.is_write();
-            let resp = exec(&mut session, env.req);
-            // Count before delivering: once a client sees its response,
-            // the counters must already include it.
-            inner.counters.executed.fetch_add(1, Ordering::Relaxed);
-            if is_write {
-                inner.counters.acked_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            env.slot.deliver(resp);
-            if let Some(prev) = stashed.take() {
-                let _ = exec(&mut session, prev);
-            }
-            since_recycle += 1;
-            if inner.config.recycle_ops > 0 && since_recycle >= inner.config.recycle_ops {
-                if let Some(prev) = stashed.take() {
-                    let _ = exec(&mut session, prev);
-                }
-                session = inner.forest.session();
-                inner
-                    .counters
-                    .recycled_sessions
-                    .fetch_add(1, Ordering::Relaxed);
-                since_recycle = 0;
-            }
+            env.slot
+                .deliver(inner.execute(shard, &mut batch.claim, env.req));
         }
     }
-    if let Some(prev) = stashed.take() {
-        let _ = exec(&mut session, prev);
-    }
+}
+
+/// The batched, backpressured request layer over a [`CitrusForest`].
+///
+/// Construction spawns one named worker thread per shard; [`Drop`] (or an
+/// explicit [`shutdown`](Server::shutdown)) closes admission, drains every
+/// queued request, and joins the workers — no acknowledged write is ever
+/// lost to a shutdown.
+pub struct Server<K, V, F: RcuFlavor = ScalableRcu>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    inner: Arc<ServerInner<K, V, F>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    closed: AtomicBool,
 }
 
 impl<K, V> Server<K, V, ScalableRcu>
@@ -424,8 +581,8 @@ where
     pub fn with_config(forest: CitrusForest<K, V, F>, config: ServeConfig) -> Self {
         let shards = forest.shard_count();
         let inner = Arc::new(ServerInner {
+            shards: (0..shards).map(|_| Shard::new()).collect(),
             forest,
-            queues: (0..shards).map(|_| BatchQueue::new()).collect(),
             config,
             counters: ServeCounters::default(),
             metrics: ServeMetrics::new(),
@@ -446,34 +603,56 @@ where
         }
     }
 
-    /// Routes `req` to its shard queue. On success the returned
-    /// [`Ticket`] will always resolve; on rejection the caller owns the
-    /// back-off (the blocking [`ServeSession`] API does it for you).
+    /// Routes `req` to its shard. If the shard is idle — nothing queued,
+    /// nothing executing, not paused, not closed — the request executes
+    /// on the calling thread and the returned [`Ticket`] is already
+    /// resolved. Otherwise it joins the shard's queue for the worker. On
+    /// success the ticket will always resolve; on rejection the caller
+    /// owns the back-off (the blocking [`ServeSession`] API does it for
+    /// you).
     ///
     /// # Errors
     ///
     /// [`SubmitError::Rejected`] past the high-water mark,
     /// [`SubmitError::Closed`] after shutdown began.
     pub fn submit(&self, req: Request<K, V>) -> Result<Ticket<K, V>, SubmitError<K, V>> {
-        let shard = self.inner.forest.shard_for(req.route_key());
+        let inner = &*self.inner;
+        let idx = inner.forest.shard_for(req.route_key());
+        let shard = &inner.shards[idx];
+        if let Some(mut claim) = shard.queue.try_claim() {
+            chaos::point!("serve/inline/execute");
+            inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counters
+                .inline_executed
+                .fetch_add(1, Ordering::Relaxed);
+            inner.metrics.batch_size.record(1);
+            let resp = inner.execute(idx, &mut claim, req);
+            let slot = Arc::new(Slot::new(Some(resp)));
+            // Releasing wakes the worker only if requests queued behind
+            // this one.
+            drop(claim);
+            return Ok(Ticket { slot });
+        }
         chaos::point!("serve/batch/enqueue");
-        let slot = Arc::new(Slot::new());
+        let slot = Arc::new(Slot::new(None));
         let env = Envelope {
             req,
             slot: Arc::clone(&slot),
         };
-        match self.inner.queues[shard].offer(env, self.inner.config.high_water) {
+        match shard.queue.offer(env, inner.config.high_water) {
             Ok(depth) => {
-                self.inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.depth_hwm.observe(depth as u64);
+                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.depth_hwm.observe(depth as u64);
                 Ok(Ticket { slot })
             }
             Err(OfferError::Rejected { item, depth }) => {
                 chaos::point!("serve/admission/reject");
-                self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Rejected {
                     req: item.req,
-                    retry_after: self.inner.config.retry_after,
+                    retry_after: inner.config.retry_after,
                     depth,
                 })
             }
@@ -484,7 +663,7 @@ where
     /// Number of shards (== worker threads, == queues).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.inner.queues.len()
+        self.inner.shards.len()
     }
 
     /// The shard `key` routes to (the forest router's verdict).
@@ -500,7 +679,7 @@ where
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn queue_len(&self, shard: usize) -> usize {
-        self.inner.queues[shard].len()
+        self.inner.shards[shard].queue.len()
     }
 
     /// The always-on request counters.
@@ -521,20 +700,21 @@ where
         &self.inner.config
     }
 
-    /// Freezes every shard worker (admission continues): the
-    /// deterministic way to fill queues up to the high-water mark in
-    /// tests. Shutdown overrides a pause, so a paused server still drains
-    /// cleanly.
+    /// Freezes execution on every shard (admission continues, and every
+    /// admitted request is queued): the deterministic way to fill queues
+    /// up to the high-water mark in tests. A request already executing
+    /// finishes. Shutdown overrides a pause, so a paused server still
+    /// drains cleanly.
     pub fn pause(&self) {
-        for q in &self.inner.queues {
-            q.pause();
+        for shard in &self.inner.shards {
+            shard.queue.pause();
         }
     }
 
     /// Undoes [`pause`](Server::pause).
     pub fn resume(&self) {
-        for q in &self.inner.queues {
-            q.resume();
+        for shard in &self.inner.shards {
+            shard.queue.resume();
         }
     }
 
@@ -545,10 +725,10 @@ where
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        for q in &self.inner.queues {
+        for shard in &self.inner.shards {
             // A paused worker must still drain: resume before closing.
-            q.resume();
-            q.close();
+            shard.queue.resume();
+            shard.queue.close();
         }
         let workers =
             std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
@@ -566,8 +746,14 @@ where
     #[must_use]
     pub fn into_forest(self) -> CitrusForest<K, V, F> {
         self.shutdown();
-        let inner = Arc::clone(&self.inner);
+        let mut inner = Arc::clone(&self.inner);
         drop(self);
+        let Some(owned) = Arc::get_mut(&mut inner) else {
+            unreachable!("workers are joined; no other owners remain")
+        };
+        // Close the executors' sessions while the forest they borrow is
+        // still in place: unwrapping the `Arc` below moves it.
+        owned.shards.clear();
         match Arc::try_unwrap(inner) {
             Ok(inner) => inner.forest,
             Err(_) => unreachable!("workers are joined; no other owners remain"),
@@ -601,10 +787,12 @@ where
     }
 }
 
-/// A client handle: submits through the full queue/batch/response path
-/// and blocks for each response, honoring `retry-after` back-off on
-/// rejection. This is the adapter the end-to-end lincheck and conformance
-/// suites drive — through it, `citrus-serve` *is* a [`ConcurrentMap`].
+/// A client handle: submits each request through [`Server::submit`] —
+/// executed on this thread when its shard is idle, queued for the shard
+/// worker otherwise — and blocks for each response, honoring
+/// `retry-after` back-off on rejection. This is the adapter the
+/// end-to-end lincheck and conformance suites drive — through it,
+/// `citrus-serve` *is* a [`ConcurrentMap`].
 pub struct ServeSession<'s, K, V, F: RcuFlavor = ScalableRcu>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
@@ -835,10 +1023,17 @@ mod tests {
         let server = small_server();
         server.pause();
         let ticket = server.submit(Request::Insert(3, 30)).unwrap();
+        assert_eq!(
+            server.queue_len(server.shard_for(&3)),
+            1,
+            "a paused shard queues instead of executing on the caller"
+        );
         std::thread::sleep(Duration::from_millis(10));
         assert!(!ticket.is_ready(), "paused workers must not execute");
+        assert_eq!(server.counters().executed(), 0);
         server.resume();
         assert_eq!(ticket.wait(), Response::Flag(true));
+        assert_eq!(server.counters().inline_executed(), 0);
     }
 
     #[test]

@@ -166,9 +166,12 @@ impl<T> fmt::Debug for Registry<T> {
 
 /// Exclusive handle to a claimed slot; releases the slot when dropped.
 ///
-/// Dereferences to the slot value. Not `Send`: a slot belongs to the thread
-/// that claimed it (per-thread RCU/epoch state is meaningless if migrated
-/// mid-critical-section).
+/// Dereferences to the slot value. Not `Send`: a slot is used by one
+/// thread at a time, and per-thread RCU/epoch state is meaningless if
+/// migrated mid-critical-section. A wrapper may move a handle between
+/// threads only between critical sections, handing it over under a
+/// lock; `citrus-serve` does so for each shard's executor session (see
+/// its `Shard` SAFETY note).
 pub struct SlotHandle<'r, T> {
     node: &'r SlotNode<T>,
     _not_send: PhantomData<*mut ()>,

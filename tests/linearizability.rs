@@ -343,16 +343,19 @@ fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
 
     // Satellite: the failed run must leave a forensic history dump whose
     // path the panic message (and the stress watchdog) can name.
-    let dump = lincheck::last_history_dump().expect("a failing lincheck run must dump its history");
+    // Take the path from this run's own panic message: the process-wide
+    // `last_history_dump()` may already name a concurrently running
+    // sibling test's dump.
+    let dump = message
+        .lines()
+        .find_map(|l| l.strip_prefix("full history dump: "))
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| panic!("panic message must name the dump path:\n{message}"));
     assert!(dump.exists(), "dump file {} missing", dump.display());
     let contents = std::fs::read_to_string(&dump).unwrap();
     assert!(
         contents.contains("insert(") && contents.contains("# VERDICT"),
         "dump must contain the history and the appended verdict:\n{contents}"
-    );
-    assert!(
-        message.contains(&dump.display().to_string()),
-        "panic message must name the dump path:\n{message}"
     );
 }
 

@@ -1,8 +1,11 @@
 //! Server ↔ oracle conformance: a `citrus-serve` front end must be
 //! observationally indistinguishable from a single [`CitrusTree`] oracle
 //! (itself model-checked against `BTreeMap` in `testkit`), operation for
-//! operation, with every operation crossing the full submit → queue →
-//! batch → response path.
+//! operation, with every operation crossing the server's submit →
+//! response path: executed on the submitting thread when its shard is
+//! idle, queued and batched by the shard worker otherwise. Concurrent
+//! clients exercise both paths; two direct tests pin when each is taken
+//! and that a shard keeps submission order across them.
 //!
 //! The grid covers {hash, range} routers × {inline, deferred} unlink.
 //! Each cell runs a seeded agreement stream plus a quiescent audit (the
@@ -12,11 +15,12 @@
 //! against servers under schedule perturbation at every failpoint
 //! (a no-op without the `chaos` cargo feature, so this file is green
 //! under default features too). The serve failpoints themselves
-//! (`serve/batch/enqueue`, `serve/batch/drain`, `serve/admission/reject`,
-//! `serve/shutdown/drain`) are coverage-asserted at the bottom.
+//! (`serve/inline/execute`, `serve/batch/enqueue`, `serve/batch/drain`,
+//! `serve/admission/reject`, `serve/shutdown/drain`) are
+//! coverage-asserted at the bottom.
 
 use citrus_repro::citrus_api::testkit;
-use citrus_repro::citrus_serve::{ServeConfig, Server};
+use citrus_repro::citrus_serve::{Request, Response, ServeConfig, Server};
 use citrus_repro::prelude::*;
 
 /// Chaos sweep width, mirroring the chaos_regression convention.
@@ -130,11 +134,82 @@ fn chaos_sweep_range_deferred() {
     testkit::sweep_chaos_seeds(|| range_server(true), 0x5E_4700, seeds_from_env());
 }
 
+// ---- Inline execution and queueing -------------------------------------
+
+/// Run to completion: on an idle shard `submit` executes the request on
+/// the calling thread, so the ticket is resolved when `submit` returns.
+/// Each inline execution counts as one executed request and one batch of
+/// one, so `executed / batches` stays the mean batch size.
+#[test]
+fn idle_shard_resolves_the_ticket_in_submit() {
+    let server = hash_server(false, 0x5E_4801);
+    for k in 0..16u64 {
+        let ticket = server.submit(Request::Insert(k, k)).expect("admitted");
+        assert!(ticket.is_ready(), "an idle shard executes on the caller");
+        assert_eq!(ticket.wait(), Response::Flag(true));
+    }
+    let c = server.counters();
+    assert_eq!(
+        (c.inline_executed(), c.executed(), c.batches()),
+        (16, 16, 16)
+    );
+    assert_eq!(c.accepted(), 16);
+}
+
+/// FIFO across the two paths. The deterministic scheduler stops thread 0
+/// at `serve/inline/execute`, holding its idle shard's claim, and runs
+/// thread 1 to completion before letting thread 0 go on. Thread 1's
+/// submit to the same shard must queue, the worker must not run it
+/// before thread 0's request finishes, and the shard completes both in
+/// submission order: the queued read sees the inline write.
+#[cfg(feature = "chaos")]
+#[test]
+fn inline_execution_holds_the_shard_and_keeps_fifo() {
+    use citrus_repro::citrus_chaos as chaos;
+    use std::sync::Mutex;
+
+    let server = hash_server(false, 0x5E_4803);
+    let shard = server.shard_for(&7);
+    let first = Mutex::new(None);
+    let second = Mutex::new(None);
+    // Decision 0 starts thread 0; decision 1 switches to thread 1 at
+    // thread 0's first yield point, `serve/inline/execute`. With the
+    // decisions spent, the scheduler keeps the running thread.
+    let outcome = chaos::run_schedule(
+        &chaos::SchedulePlan::new(vec![0, 1]),
+        vec![
+            Box::new(|| {
+                let ticket = server.submit(Request::Insert(7, 70)).expect("admitted");
+                assert!(ticket.is_ready(), "an idle shard executes on the caller");
+                *first.lock().unwrap() = Some(ticket);
+            }),
+            Box::new(|| {
+                let ticket = server.submit(Request::Get(7)).expect("admitted");
+                assert_eq!(server.queue_len(shard), 1, "a busy shard queues");
+                assert!(!ticket.is_ready(), "the worker waits for the claim");
+                *second.lock().unwrap() = Some(ticket);
+            }),
+        ],
+    );
+    assert!(outcome.clean(), "{:?}", outcome.failure_reason());
+    assert_eq!(
+        outcome.trace[..2],
+        [(0, "serve/inline/execute"), (1, "serve/batch/enqueue")],
+        "thread 1 must submit while thread 0 holds the claim"
+    );
+    let first = first.into_inner().unwrap().expect("thread 0 submitted");
+    let second = second.into_inner().unwrap().expect("thread 1 submitted");
+    assert_eq!(first.wait(), Response::Flag(true));
+    assert_eq!(second.wait(), Response::Value(Some(70)));
+    let c = server.counters();
+    assert_eq!((c.inline_executed(), c.executed()), (1, 2));
+}
+
 // ---- Failpoint coverage ------------------------------------------------
 
 /// The serve failpoints must actually exist and fire: after exercising
-/// the enqueue, drain, rejection, and shutdown paths, all four names
-/// must appear in the chaos registry. A renamed or deleted failpoint
+/// the inline, enqueue, drain, rejection, and shutdown paths, all five
+/// names must appear in the chaos registry. A renamed or deleted failpoint
 /// fails here instead of silently shrinking every chaos sweep above.
 /// Registration is by-reach and only happens in `chaos` builds.
 #[cfg(feature = "chaos")]
@@ -143,7 +218,7 @@ fn serve_failpoints_register() {
     use citrus_repro::citrus_chaos as chaos;
     use citrus_repro::citrus_serve::{Request, SubmitError};
 
-    // Enqueue + drain: a normal round-trip.
+    // Inline execution: a round-trip on an idle server.
     let server: Server<u64, u64> = Server::with_config(
         CitrusForest::with_options(2, 0x5EED, ReclaimMode::Epoch, false),
         ServeConfig::default().with_high_water(1),
@@ -169,6 +244,7 @@ fn serve_failpoints_register() {
         assert!(fills < 16, "high-water mark of 1 never rejected");
     }
     assert!(server.queue_len(shard) >= 1);
+    // Enqueue + drain: the paused submits above run once resumed.
     server.resume();
 
     // Shutdown drain.
@@ -176,6 +252,7 @@ fn serve_failpoints_register() {
 
     let points: Vec<&str> = chaos::all_points().iter().map(|p| p.name).collect();
     for name in [
+        "serve/inline/execute",
         "serve/batch/enqueue",
         "serve/batch/drain",
         "serve/admission/reject",
