@@ -51,9 +51,9 @@ use crate::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos::{install as install_chaos, ChaosPlan};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 
 /// One recorded operation (invocation kind and arguments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -841,29 +841,10 @@ pub fn record_history<M: ConcurrentMap<u64, u64>>(
     History::from_thread_logs(logs)
 }
 
-/// The most recently written history dump path, if any (process-global).
-///
-/// [`check_linearizable`] notes every dump it writes here so the
-/// [`stress_watchdog`](crate::testkit::stress_watchdog) timeout
-/// diagnostic can point at the forensic evidence a hung lincheck run
-/// left behind.
-static LAST_DUMP: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Records `path` as the most recent history dump.
-pub fn note_history_dump(path: &Path) {
-    *LAST_DUMP.lock().unwrap() = Some(path.to_path_buf());
-}
-
-/// The most recently recorded history dump path, if any.
-#[must_use]
-pub fn last_history_dump() -> Option<PathBuf> {
-    LAST_DUMP.lock().unwrap().clone()
-}
-
 /// Writes the rendered history as
 /// `lincheck_<name>_<seed>.history.txt` under `CITRUS_LIN_DUMP_DIR`
-/// (default: the OS temp directory) and notes the path for the stress
-/// watchdog. Returns `None` (with a warning) if the write fails — dump
+/// (default: the OS temp directory) and notes the path in the calling
+/// thread's stress-watchdog slot, if any. Returns `None` (with a warning) if the write fails — dump
 /// failure must never mask the actual linearizability verdict.
 fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
     let dir =
@@ -883,7 +864,7 @@ fn dump_history(name: &str, seed: u64, history: &History) -> Option<PathBuf> {
     );
     match std::fs::write(&path, body) {
         Ok(()) => {
-            note_history_dump(&path);
+            crate::testkit::note_history_dump(&path);
             Some(path)
         }
         Err(e) => {
@@ -1002,8 +983,10 @@ fn verify_recorded(
 
 /// End-to-end linearizability check: build a fresh map with `make`, run a
 /// seeded mixed workload (`threads` × `ops_per_thread` over
-/// `[0, key_range)`), dump the recorded history to a file (see
-/// [`last_history_dump`]), and verify it with the WGL checker.
+/// `[0, key_range)`), dump the recorded history to a file (its path is
+/// in any failure message and in the calling thread's
+/// [`StressWatchdog`](crate::testkit::StressWatchdog)), and verify it
+/// with the WGL checker.
 ///
 /// # Panics
 ///
@@ -1640,11 +1623,22 @@ mod tests {
     }
 
     #[test]
-    fn dump_note_round_trips() {
-        // check_linearizable above already wrote a dump; the registry must
-        // surface *some* path once any lincheck ran in this process.
-        check_linearizable(CoarseMap::default, 1, 10, 4, 0xD00D);
-        let path = last_history_dump().expect("a dump was recorded");
-        assert!(path.to_string_lossy().contains("lincheck_"));
+    fn each_watchdog_sees_only_its_own_threads_dump() {
+        // Two tests running side by side, each under its own watchdog:
+        // neither diagnostic may name the other's dump.
+        let both_dumped = Barrier::new(2);
+        std::thread::scope(|s| {
+            for seed in [0xD00D_u64, 0xF00D] {
+                let both_dumped = &both_dumped;
+                s.spawn(move || {
+                    let watchdog = crate::testkit::stress_watchdog("dump_slot");
+                    check_linearizable(CoarseMap::default, 1, 10, 4, seed);
+                    both_dumped.wait();
+                    let path = watchdog.last_history_dump().expect("this thread dumped");
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    assert!(name.ends_with(&format!("_{seed:#x}.history.txt")), "{name}");
+                });
+            }
+        });
     }
 }

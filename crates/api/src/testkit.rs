@@ -27,7 +27,10 @@
 
 use crate::{ConcurrentMap, MapSession};
 use citrus_obs::MetricsSnapshot;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,9 +46,7 @@ pub use crate::explore::{
     explore_schedules, explore_schedules_with, replay_schedule, replay_schedule_with, ScenarioOp,
     ScheduleScenario,
 };
-pub use crate::lincheck::{
-    check_linearizable, last_history_dump, lin_ops, lin_threads, sweep_lincheck_chaos_seeds,
-};
+pub use crate::lincheck::{check_linearizable, lin_ops, lin_threads, sweep_lincheck_chaos_seeds};
 
 /// Deterministic 64-bit PRNG (SplitMix64), dependency-free.
 ///
@@ -534,23 +535,89 @@ pub fn stress_iters(default: u64) -> u64 {
     env_u64_knob("CITRUS_STRESS_ITERS", default)
 }
 
+/// Whether tests build Citrus trees and forests in deferred-free mode:
+/// the `CITRUS_DEFERRED_FREE` environment variable (`1`/`true`/`yes`),
+/// off when unset. Library constructors never read it; tests that the
+/// reclaim CI lane flips pass this to the explicit `with_options`
+/// constructors. A malformed value is a hard error ([`parse_bool_knob`]).
+pub fn deferred_free() -> bool {
+    env_knob("CITRUS_DEFERRED_FREE", false, parse_bool_knob)
+}
+
+/// Parses one boolean knob value: `1`/`true`/`yes` or `0`/`false`/`no`
+/// (or empty), surrounding whitespace ignored. `name` is the knob being
+/// parsed, for the error message.
+///
+/// # Panics
+///
+/// Panics on anything else: `CITRUS_PAPER=ture` must abort the run, not
+/// silently pick a side.
+#[must_use]
+pub fn parse_bool_knob(name: &str, raw: &str) -> bool {
+    match raw.trim() {
+        "1" | "true" | "yes" => true,
+        "" | "0" | "false" | "no" => false,
+        other => panic!("invalid {name}={other:?}: expected 1/true/yes or 0/false/no"),
+    }
+}
+
 /// Shared hard-error reader for numeric testkit knobs.
 fn env_u64_knob(name: &str, default: u64) -> u64 {
+    env_knob(name, default, |name, raw| match raw.trim().parse() {
+        Ok(v) => v,
+        Err(e) => panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)"),
+    })
+}
+
+/// Reads `name` through `parse`, or `default` when unset; a value that is
+/// not Unicode is a hard error too.
+fn env_knob<T>(name: &str, default: T, parse: impl FnOnce(&str, &str) -> T) -> T {
     match std::env::var(name) {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(e) => panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)"),
-        },
+        Ok(raw) => parse(name, &raw),
         Err(std::env::VarError::NotPresent) => default,
         Err(e) => panic!("invalid {name}: {e}"),
     }
 }
 
+/// One watchdog's history-dump slot: the last lincheck dump written by
+/// the thread that armed it.
+type DumpSlot = Arc<Mutex<Option<PathBuf>>>;
+
+thread_local! {
+    /// The dump slot of the innermost watchdog armed on this thread.
+    static DUMP_SLOT: RefCell<Option<DumpSlot>> = const { RefCell::new(None) };
+}
+
+/// Records `path` in the calling thread's watchdog slot, if a watchdog
+/// is armed on this thread.
+pub(crate) fn note_history_dump(path: &Path) {
+    DUMP_SLOT.with(|slot| {
+        if let Some(dump) = &*slot.borrow() {
+            *dump.lock().unwrap() = Some(path.to_path_buf());
+        }
+    });
+}
+
 /// Guard for a running [`stress_watchdog`]; dropping it disarms the
-/// watchdog (the test finished in time).
+/// watchdog (the test finished in time). It stays on the thread that
+/// armed it, whose history dumps it collects.
 #[derive(Debug)]
 pub struct StressWatchdog {
     state: Arc<(Mutex<bool>, Condvar)>,
+    dump: DumpSlot,
+    /// The slot of the watchdog this one nests inside, restored on drop.
+    outer: Option<DumpSlot>,
+    _same_thread: PhantomData<*const ()>,
+}
+
+impl StressWatchdog {
+    /// The last lincheck history dump written by the arming thread while
+    /// this watchdog was the innermost one there — the path its timeout
+    /// diagnostic names.
+    #[must_use]
+    pub fn last_history_dump(&self) -> Option<PathBuf> {
+        self.dump.lock().unwrap().clone()
+    }
 }
 
 impl Drop for StressWatchdog {
@@ -558,6 +625,7 @@ impl Drop for StressWatchdog {
         let (done, cvar) = &*self.state;
         *done.lock().unwrap() = true;
         cvar.notify_all();
+        DUMP_SLOT.with(|slot| *slot.borrow_mut() = self.outer.take());
     }
 }
 
@@ -566,12 +634,16 @@ impl Drop for StressWatchdog {
 /// 300; `0` disables), the process prints a diagnostic naming `test` and
 /// exits with code 124 — a livelocked test fails loudly instead of hanging
 /// CI until the runner's global timeout reaps it with no indication of
-/// which test wedged.
+/// which test wedged. The diagnostic names the last history dump the
+/// calling thread wrote under this guard.
 pub fn stress_watchdog(test: &str) -> StressWatchdog {
     let timeout_secs = env_u64_knob("CITRUS_STRESS_TIMEOUT_SECS", 300);
     let state = Arc::new((Mutex::new(false), Condvar::new()));
+    let dump = DumpSlot::default();
+    let outer = DUMP_SLOT.with(|slot| slot.borrow_mut().replace(Arc::clone(&dump)));
     if timeout_secs > 0 {
         let pair = Arc::clone(&state);
+        let dump = Arc::clone(&dump);
         let test = test.to_string();
         std::thread::spawn(move || {
             let (done, cvar) = &*pair;
@@ -586,7 +658,7 @@ pub fn stress_watchdog(test: &str) -> StressWatchdog {
                     None => {
                         // A hung lincheck run has already dumped its
                         // recorded history; point the post-mortem at it.
-                        let dump_note = match crate::lincheck::last_history_dump() {
+                        let dump_note = match dump.lock().unwrap().clone() {
                             Some(path) => {
                                 format!(" Last recorded history dump: {}.", path.display())
                             }
@@ -611,7 +683,12 @@ pub fn stress_watchdog(test: &str) -> StressWatchdog {
             }
         });
     }
-    StressWatchdog { state }
+    StressWatchdog {
+        state,
+        dump,
+        outer,
+        _same_thread: PhantomData,
+    }
 }
 
 /// Runs a reduced conformance battery against `make()`-produced maps under

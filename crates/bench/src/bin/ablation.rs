@@ -8,7 +8,7 @@
 //!   `Epoch` mode (EBR) under the 50%-contains workload.
 //! * **D5** — grace-period sharing: concurrent `synchronize_rcu` callers
 //!   piggybacking on a peer's grace period vs every caller scanning for
-//!   itself (`CITRUS_RCU_NO_SHARING`), per RCU flavor.
+//!   itself (`with_sharing(false)`), per RCU flavor.
 
 use citrus_bench::synchronize_storm;
 use citrus_harness::{runner, Algo, BenchConfig, OpMix, WorkloadSpec};
@@ -84,7 +84,7 @@ fn main() {
         cfg.duration,
     );
     for algo in [Algo::Citrus, Algo::CitrusEbr] {
-        let tp = runner::run_algo(algo, &spec, cfg.reps, 0xAB1A);
+        let tp = runner::run_algo(algo, cfg.deferred_free, &spec, cfg.reps, 0xAB1A);
         println!("  {:<42} {:>10.0} ops/s", algo.label(), tp);
     }
     println!(
@@ -93,13 +93,7 @@ fn main() {
     );
 
     println!("D5 — grace-period sharing (4 concurrent synchronizers, 2 readers):");
-    let dur = Duration::from_millis(match std::env::var("CITRUS_DURATION_MS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid CITRUS_DURATION_MS={raw:?}: {e} (expected milliseconds)")
-        }),
-        Err(std::env::VarError::NotPresent) => 200,
-        Err(e) => panic!("invalid CITRUS_DURATION_MS: {e}"),
-    });
+    let dur = cfg.duration;
     fn d5_row<F: RcuFlavor>(label: &str, rcu: &F, dur: Duration) {
         let cell = synchronize_storm(rcu, 4, 2, dur);
         println!(

@@ -138,7 +138,7 @@ fn run_cell(
         ),
         other => panic!("unknown router {other}"),
     };
-    let server = Server::with_config(forest, ServeConfig::from_env());
+    let server = Server::with_config(forest, ServeConfig::default());
 
     // Prefill half of each tenant's local range (uniform, like every
     // other bench: skewed runs start from the same occupancy).

@@ -39,11 +39,9 @@
 //!   overlaps, at the price of hash routing's skew resistance: hot
 //!   adjacent keys all land in one shard.
 //!
-//! `u64`-keyed forests can pick the policy at run time via
-//! `CITRUS_ROUTER=hash|range`
-//! ([`with_env_router`](CitrusForest::with_env_router)), with evenly
-//! spaced default splitters ([`even_splitters`]) over the workload's key
-//! range.
+//! `u64`-keyed forests can take the policy as a value
+//! ([`with_router`](CitrusForest::with_router)), with evenly spaced
+//! splitters ([`even_splitters`]) over the workload's key range.
 //!
 //! # What stays per-shard vs. global
 //!
@@ -148,20 +146,6 @@ impl RouterKind {
             other => panic!("invalid {name}={other:?}: expected \"hash\" or \"range\""),
         }
     }
-
-    /// Reads the `CITRUS_ROUTER` environment knob (`hash` when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value (see [`parse`](Self::parse)).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("CITRUS_ROUTER") {
-            Ok(raw) => Self::parse("CITRUS_ROUTER", &raw),
-            Err(std::env::VarError::NotPresent) => Self::Hash,
-            Err(err) => panic!("invalid CITRUS_ROUTER: {err}"),
-        }
-    }
 }
 
 impl fmt::Display for RouterKind {
@@ -184,9 +168,10 @@ enum Router<K> {
 }
 
 /// Evenly spaced splitters partitioning `[0, key_range)` into `shards`
-/// contiguous ranges — the default splitter set `CITRUS_ROUTER=range`
-/// uses. Keys at or above `key_range` all land in the last shard, which
-/// additionally owns `[key_range · (shards-1)/shards, ∞)`.
+/// contiguous ranges — the default splitter set of
+/// [`CitrusForest::with_router`]. Keys at or above `key_range` all land in
+/// the last shard, which additionally owns
+/// `[key_range · (shards-1)/shards, ∞)`.
 ///
 /// # Panics
 ///
@@ -344,9 +329,8 @@ pub struct CitrusForest<K, V, F: RcuFlavor = ScalableRcu> {
 
 impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a forest with the default shard count (8) and
-    /// [`ReclaimMode::Epoch`]. Two-child deletes defer their unlink per
-    /// the `CITRUS_DEFERRED_FREE` environment knob
-    /// ([`citrus_reclaim::deferred_free_from_env`]).
+    /// [`ReclaimMode::Epoch`]. Two-child deletes synchronize inline (the
+    /// paper's algorithm).
     #[must_use]
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
@@ -360,20 +344,13 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
         Self::with_config(n, 0, ReclaimMode::default())
     }
 
-    /// Like [`with_shards`](Self::with_shards) but with an explicit
-    /// sharding seed, for de-correlating routing from adversarial key
-    /// patterns (and for the routing-determinism tests).
-    #[must_use]
-    pub fn with_sharding_seed(n: usize, seed: u64) -> Self {
-        Self::with_config(n, seed, ReclaimMode::default())
-    }
-
     /// Explicit constructor: shard count (rounded up to a power of two),
-    /// sharding seed, and reclamation mode for every shard (deferred
-    /// unlinking still per `CITRUS_DEFERRED_FREE`).
+    /// sharding seed (de-correlates routing from adversarial key
+    /// patterns), and reclamation mode for every shard, with inline
+    /// two-child deletes.
     #[must_use]
     pub fn with_config(n: usize, seed: u64, mode: ReclaimMode) -> Self {
-        Self::with_options(n, seed, mode, citrus_reclaim::deferred_free_from_env())
+        Self::with_options(n, seed, mode, false)
     }
 
     /// Fully explicit constructor: additionally pins whether every shard's
@@ -397,7 +374,7 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
 impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a range-routed forest: `splitters.len() + 1` shards, each
     /// owning a contiguous key range (see the [module docs](self)), with
-    /// the default reclamation mode and the `CITRUS_DEFERRED_FREE` knob.
+    /// the default reclamation mode and inline two-child deletes.
     /// An empty splitter list is the degenerate single-shard forest.
     ///
     /// # Panics
@@ -405,11 +382,7 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Panics unless `splitters` is strictly ascending.
     #[must_use]
     pub fn with_range_router(splitters: Vec<K>) -> Self {
-        Self::with_range_router_options(
-            splitters,
-            ReclaimMode::default(),
-            citrus_reclaim::deferred_free_from_env(),
-        )
+        Self::with_range_router_options(splitters, ReclaimMode::default(), false)
     }
 
     /// Fully explicit range-routed constructor; the reclamation knobs
@@ -438,22 +411,27 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
 }
 
 impl<V: Send + Sync, F: RcuFlavor> CitrusForest<u64, V, F> {
-    /// Builds a `u64`-keyed forest with the router picked by the
-    /// `CITRUS_ROUTER` environment knob: `hash` (the default) behaves
-    /// exactly like [`with_config`](Self::with_config); `range`
+    /// Builds a `u64`-keyed forest under either router: `Hash` behaves
+    /// exactly like [`with_options`](Self::with_options); `Range`
     /// partitions `[0, key_range)` with [`even_splitters`] (the seed is
-    /// then unused). `n` is rounded up to a power of two in **both** arms
-    /// so the two routers sweep identical shard counts.
+    /// then unused). `n` is rounded up to a power of two under **both**
+    /// routers, so the two sweep identical shard counts.
     ///
     /// # Panics
     ///
-    /// Panics on an unrecognized `CITRUS_ROUTER` value, or in `range`
-    /// mode when `key_range` is smaller than the rounded shard count.
+    /// Panics under `Range` when `key_range` is smaller than the rounded
+    /// shard count.
     #[must_use]
-    pub fn with_env_router(n: usize, seed: u64, mode: ReclaimMode, key_range: u64) -> Self {
-        let deferred = citrus_reclaim::deferred_free_from_env();
+    pub fn with_router(
+        router: RouterKind,
+        n: usize,
+        seed: u64,
+        key_range: u64,
+        mode: ReclaimMode,
+        deferred: bool,
+    ) -> Self {
         let n = n.max(1).next_power_of_two();
-        match RouterKind::from_env() {
+        match router {
             RouterKind::Hash => Self::with_options(n, seed, mode, deferred),
             RouterKind::Range => {
                 Self::with_range_router_options(even_splitters(n, key_range), mode, deferred)
@@ -1120,23 +1098,35 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use citrus_api::testkit;
     use citrus_rcu::GlobalLockRcu;
 
     type Forest = CitrusForest<u64, u64>;
 
+    /// A hash-routed forest of `n` shards whose two-child deletes defer
+    /// their unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
+    fn hashed<F: RcuFlavor>(n: usize, seed: u64) -> CitrusForest<u64, u64, F> {
+        CitrusForest::with_options(n, seed, ReclaimMode::Epoch, testkit::deferred_free())
+    }
+
+    /// The range-routed counterpart of [`hashed`].
+    fn ranged(splitters: Vec<u64>) -> Forest {
+        Forest::with_range_router_options(splitters, ReclaimMode::Epoch, testkit::deferred_free())
+    }
+
     #[test]
     fn shard_count_rounds_up_to_power_of_two() {
         for (requested, expect) in [(0, 1), (1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 16)] {
-            let f = Forest::with_shards(requested);
+            let f: Forest = hashed(requested, 0);
             assert_eq!(f.shard_count(), expect, "requested {requested}");
         }
     }
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
-        let a = Forest::with_sharding_seed(8, 0xDEAD);
-        let b = Forest::with_sharding_seed(8, 0xDEAD);
-        let c = Forest::with_sharding_seed(8, 0xBEEF);
+        let a: Forest = hashed(8, 0xDEAD);
+        let b: Forest = hashed(8, 0xDEAD);
+        let c: Forest = hashed(8, 0xBEEF);
         let mut differs = false;
         for key in 0u64..4096 {
             let s = a.shard_for(&key);
@@ -1149,7 +1139,7 @@ mod tests {
 
     #[test]
     fn single_shard_forest_routes_everything_to_zero() {
-        let f = Forest::with_shards(1);
+        let f: Forest = hashed(1, 0);
         for key in 0u64..256 {
             assert_eq!(f.shard_for(&key), 0);
         }
@@ -1157,7 +1147,7 @@ mod tests {
 
     #[test]
     fn lifecycle_and_aggregates() {
-        let mut f = Forest::with_shards(4);
+        let mut f: Forest = hashed(4, 0);
         {
             let mut s = f.session();
             for k in 0..100u64 {
@@ -1184,7 +1174,7 @@ mod tests {
 
     #[test]
     fn inserted_keys_land_in_their_routed_shard() {
-        let mut f = Forest::with_shards(8);
+        let mut f: Forest = hashed(8, 0);
         let keys: Vec<u64> = (0..200).collect();
         {
             let mut s = f.session();
@@ -1206,7 +1196,7 @@ mod tests {
 
     #[test]
     fn ordered_reads_fan_out_and_merge() {
-        let f = Forest::with_shards(4);
+        let f: Forest = hashed(4, 0);
         let mut s = f.session();
         for k in 0..100u64 {
             assert!(s.insert(k, k * 10));
@@ -1227,7 +1217,7 @@ mod tests {
 
     #[test]
     fn range_router_routes_by_splitters() {
-        let f: Forest = Forest::with_range_router(vec![100, 200, 300]);
+        let f = ranged(vec![100, 200, 300]);
         assert_eq!(f.shard_count(), 4);
         assert_eq!(f.router_kind(), RouterKind::Range);
         assert_eq!(f.splitters(), Some(&[100u64, 200, 300][..]));
@@ -1245,12 +1235,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn range_router_rejects_unsorted_splitters() {
-        let _: Forest = Forest::with_range_router(vec![10, 10]);
+        let _ = ranged(vec![10, 10]);
     }
 
     #[test]
     fn degenerate_empty_splitter_list_is_single_shard() {
-        let f: Forest = Forest::with_range_router(vec![]);
+        let f = ranged(vec![]);
         assert_eq!(f.shard_count(), 1);
         for key in [0u64, 1, 1000, u64::MAX] {
             assert_eq!(f.shard_for(&key), 0);
@@ -1299,7 +1289,7 @@ mod tests {
 
     #[test]
     fn range_scans_enter_only_overlapping_shards() {
-        let f: Forest = Forest::with_range_router(vec![100, 200, 300]);
+        let f = ranged(vec![100, 200, 300]);
         let mut writer = f.session();
         for k in 0..400u64 {
             assert!(writer.insert(k, k * 10));
@@ -1337,7 +1327,7 @@ mod tests {
 
     #[test]
     fn directed_probes_widen_only_as_needed() {
-        let f: Forest = Forest::with_range_router(vec![100, 200]);
+        let f = ranged(vec![100, 200]);
         let mut writer = f.session();
         assert!(writer.insert(50, 1));
         assert!(writer.insert(150, 2));
@@ -1375,7 +1365,7 @@ mod tests {
 
     #[test]
     fn range_router_boundary_keys_round_trip() {
-        let f: Forest = Forest::with_range_router(vec![100, 200]);
+        let f = ranged(vec![100, 200]);
         let mut s = f.session();
         for k in [u64::MIN, 99, 100, 101, 199, 200, u64::MAX] {
             assert!(s.insert(k, k.wrapping_add(1)));
@@ -1398,7 +1388,7 @@ mod tests {
     fn cross_shard_validation_catches_range_misroutes() {
         // Plant a key in a shard outside its `[low, high)` range — what a
         // splitter-comparison bug would do.
-        let mut f: Forest = Forest::with_range_router(vec![100, 200, 300]);
+        let mut f = ranged(vec![100, 200, 300]);
         f.shards[0].session().insert(250, 1);
         match f.validate_structure() {
             Err(InvariantViolation::MisroutedKey {
@@ -1415,14 +1405,14 @@ mod tests {
     #[cfg(feature = "stats")]
     #[test]
     fn fanout_width_metric_tracks_router() {
-        let hash: Forest = Forest::with_shards(4);
+        let hash: Forest = hashed(4, 0);
         let mut s = hash.session();
         s.insert(1, 1);
         s.range_scan(&0, &3);
         assert_eq!(hash.metrics().fanout_shards(), 4, "hash: all shards");
         drop(s);
 
-        let range: Forest = Forest::with_range_router(vec![100, 200, 300]);
+        let range = ranged(vec![100, 200, 300]);
         let mut s = range.session();
         s.insert(1, 1);
         s.range_scan(&0, &3);
@@ -1433,7 +1423,7 @@ mod tests {
     fn cross_shard_validation_catches_duplicates() {
         // Plant a duplicate by writing into two shards' trees directly,
         // bypassing routing — exactly what a routing bug would do.
-        let mut f = Forest::with_shards(4);
+        let mut f: Forest = hashed(4, 0);
         let key = 7u64;
         let home = f.shard_for(&key);
         let other = (home + 1) % f.shard_count();
@@ -1447,7 +1437,7 @@ mod tests {
 
     #[test]
     fn cross_shard_validation_catches_misroutes() {
-        let mut f = Forest::with_shards(4);
+        let mut f: Forest = hashed(4, 0);
         let key = 9u64;
         let home = f.shard_for(&key);
         let wrong = (home + 1) % f.shard_count();
@@ -1466,7 +1456,7 @@ mod tests {
 
     #[test]
     fn sessions_are_lazy() {
-        let f = Forest::with_shards(8);
+        let f: Forest = hashed(8, 0);
         let mut s = f.session();
         assert_eq!(s.live_shard_sessions(), 0);
         s.insert(7, 7);
@@ -1477,7 +1467,7 @@ mod tests {
 
     #[test]
     fn per_shard_grace_periods_are_independent() {
-        let f = Forest::with_shards(4);
+        let f: Forest = hashed(4, 0);
         let before = f.grace_periods_per_shard();
         // Force a grace period in exactly one shard via its own domain.
         let target = f.shard_for(&42u64);
@@ -1496,7 +1486,7 @@ mod tests {
 
     #[test]
     fn works_with_global_lock_flavor() {
-        let forest: CitrusForest<u64, u64, GlobalLockRcu> = CitrusForest::with_shards(2);
+        let forest: CitrusForest<u64, u64, GlobalLockRcu> = hashed(2, 0);
         let mut s = forest.session();
         assert!(s.insert(1, 1));
         assert!(s.remove(&1));
@@ -1513,7 +1503,7 @@ mod tests {
     #[cfg(feature = "stats")]
     #[test]
     fn metrics_roll_up_with_shard_labels() {
-        let mut f = Forest::with_shards(2);
+        let mut f: Forest = hashed(2, 0);
         let registry = MetricsRegistry::new();
         f.register_metrics(&registry);
         {

@@ -75,7 +75,7 @@ mod tree;
 
 pub use checks::{InvariantViolation, TreeStats};
 pub use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
-pub use citrus_reclaim::{deferred_free_from_env, CallRcu, CallRcuConfig};
+pub use citrus_reclaim::{CallRcu, CallRcuConfig};
 pub use forest::{even_splitters, CitrusForest, ForestMetrics, ForestSession, RouterKind};
 pub use metrics::TreeMetrics;
 pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats};
@@ -88,6 +88,12 @@ mod tests {
     type Tree = CitrusTree<u64, u64>;
     type TreeStd = CitrusTree<u64, u64, GlobalLockRcu>;
 
+    /// A tree in reclamation `mode` whose two-child deletes defer their
+    /// unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
+    fn new_tree(mode: ReclaimMode) -> Tree {
+        Tree::with_options(ScalableRcu::new(), mode, testkit::deferred_free())
+    }
+
     fn all_modes() -> [ReclaimMode; 2] {
         [ReclaimMode::Leak, ReclaimMode::Epoch]
     }
@@ -95,7 +101,7 @@ mod tests {
     #[test]
     fn empty_tree_behaves() {
         for mode in all_modes() {
-            let tree = Tree::with_reclaim(mode);
+            let tree = new_tree(mode);
             let mut s = tree.session();
             assert_eq!(s.get(&1), None);
             assert!(!s.contains(&1));
@@ -109,7 +115,7 @@ mod tests {
 
     #[test]
     fn single_key_lifecycle() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         assert!(s.insert(5, 50));
         assert!(!s.insert(5, 51), "duplicate insert must fail");
@@ -121,7 +127,7 @@ mod tests {
 
     #[test]
     fn delete_leaf() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [10, 5, 15] {
             s.insert(k, k);
@@ -135,7 +141,7 @@ mod tests {
 
     #[test]
     fn delete_node_with_one_child() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [10, 5, 3] {
             s.insert(k, k);
@@ -147,7 +153,7 @@ mod tests {
         assert_eq!(tree.to_vec_quiescent(), vec![(3, 3), (10, 10)]);
         tree.validate_structure().unwrap();
 
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [10, 5, 7] {
             s.insert(k, k);
@@ -162,7 +168,7 @@ mod tests {
     #[test]
     fn delete_node_with_two_children_uses_successor() {
         // Successor deep in the right subtree (prevSucc != curr).
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [10, 5, 20, 15, 12, 17] {
             s.insert(k, k * 100);
@@ -171,7 +177,7 @@ mod tests {
         let defer_before = s.stats().deferred_unlinks();
         assert!(s.remove(&10));
         // Inline mode pays one synchronize_rcu; deferred mode enqueues one
-        // unlink record instead (CITRUS_DEFERRED_FREE picks the mode).
+        // unlink record instead (the lane picks the mode).
         assert_eq!(
             s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
             sync_before + defer_before + 1,
@@ -189,7 +195,7 @@ mod tests {
     #[test]
     fn delete_where_successor_is_right_child() {
         // prevSucc == curr: succ is curr's own right child (paper line 76).
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [10, 5, 20, 25] {
             s.insert(k, k);
@@ -206,7 +212,7 @@ mod tests {
 
     #[test]
     fn delete_root_of_data_subtree_repeatedly() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in 0..64u64 {
             s.insert(k, k);
@@ -224,35 +230,40 @@ mod tests {
     #[test]
     fn sequential_model_all_modes_and_flavors() {
         for mode in all_modes() {
-            testkit::check_sequential_model(&Tree::with_reclaim(mode), 6_000, 256, 0xACE1);
-            testkit::check_sequential_model(&TreeStd::with_reclaim(mode), 3_000, 128, 0xACE2);
+            testkit::check_sequential_model(&new_tree(mode), 6_000, 256, 0xACE1);
+            testkit::check_sequential_model(
+                &TreeStd::with_options(GlobalLockRcu::new(), mode, testkit::deferred_free()),
+                3_000,
+                128,
+                0xACE2,
+            );
         }
     }
 
     #[test]
     fn duplicate_semantics() {
-        testkit::check_duplicate_inserts(&Tree::new());
+        testkit::check_duplicate_inserts(&new_tree(ReclaimMode::Epoch));
         testkit::check_duplicate_inserts(&TreeStd::new());
     }
 
     #[test]
     fn concurrent_lost_updates_all_modes() {
         for mode in all_modes() {
-            testkit::check_lost_updates(&Tree::with_reclaim(mode), 8, 300);
+            testkit::check_lost_updates(&new_tree(mode), 8, 300);
         }
     }
 
     #[test]
     fn concurrent_partitioned_determinism_all_modes() {
         for mode in all_modes() {
-            testkit::check_partitioned_determinism(&Tree::with_reclaim(mode), 8, 3_000, 64);
+            testkit::check_partitioned_determinism(&new_tree(mode), 8, 3_000, 64);
         }
     }
 
     #[test]
     fn concurrent_mixed_quiescent_all_modes() {
         for mode in all_modes() {
-            testkit::check_mixed_quiescent_consistency(&Tree::with_reclaim(mode), 8, 3_000, 128);
+            testkit::check_mixed_quiescent_consistency(&new_tree(mode), 8, 3_000, 128);
         }
     }
 
@@ -265,7 +276,7 @@ mod tests {
     #[test]
     fn structure_valid_after_concurrent_churn() {
         for mode in all_modes() {
-            let tree = Tree::with_reclaim(mode);
+            let tree = new_tree(mode);
             testkit::check_mixed_quiescent_consistency(&tree, 8, 4_000, 64);
             let mut tree = tree;
             let stats = tree.validate_structure().unwrap();
@@ -275,7 +286,7 @@ mod tests {
 
     #[test]
     fn quiescent_iteration_is_sorted() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for k in [9, 1, 8, 2, 7, 3, 6, 4, 5] {
             s.insert(k, k * 2);
@@ -291,7 +302,7 @@ mod tests {
 
     #[test]
     fn epoch_mode_survives_heavy_churn_and_frees() {
-        let tree = Tree::with_reclaim(ReclaimMode::Epoch);
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         for round in 0..20 {
             for k in 0..200u64 {
@@ -313,7 +324,7 @@ mod tests {
 
     #[test]
     fn leak_mode_frees_nothing_before_drop() {
-        let tree = Tree::with_reclaim(ReclaimMode::Leak);
+        let tree = new_tree(ReclaimMode::Leak);
         let mut s = tree.session();
         for k in 0..100u64 {
             s.insert(k, k);
@@ -336,7 +347,11 @@ mod tests {
 
     #[test]
     fn works_with_string_keys_and_values() {
-        let tree: CitrusTree<String, String> = CitrusTree::new();
+        let tree: CitrusTree<String, String> = CitrusTree::with_options(
+            ScalableRcu::new(),
+            ReclaimMode::Epoch,
+            testkit::deferred_free(),
+        );
         let mut s = tree.session();
         assert!(s.insert("b".into(), "bee".into()));
         assert!(s.insert("a".into(), "ay".into()));
@@ -354,7 +369,7 @@ mod tests {
     fn min_and_max_keys_are_usable() {
         // The sentinels are symbolic (−∞/∞ variants), so the full u64 range
         // is usable — no reserved keys.
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         assert!(s.insert(0, 1));
         assert!(s.insert(u64::MAX, 2));
@@ -366,7 +381,7 @@ mod tests {
 
     #[test]
     fn debug_impls_nonempty() {
-        let tree = Tree::new();
+        let tree = new_tree(ReclaimMode::Epoch);
         let s = tree.session();
         assert!(format!("{tree:?}").contains("CitrusTree"));
         assert!(format!("{s:?}").contains("CitrusSession"));

@@ -19,12 +19,12 @@
 //!   the walk, and restart from scratch when a concurrent update moved
 //!   one.
 //!
-//! In **deferred-free mode** (`CITRUS_DEFERRED_FREE=1` or
-//! [`CitrusTree::with_options`]; DESIGN.md §6g) the two-child delete does
-//! not pay line 74's grace period inline: it splices the copy, transfers
-//! the locks freezing the successor's old edge into an [`UnlinkRecord`],
-//! and returns; a `call_rcu`-style batch ([`CallRcu`]) runs lines 75–83
-//! after **one** shared grace period per batch.
+//! In **deferred-free mode** ([`CitrusTree::with_options`]; DESIGN.md
+//! §6g) the two-child delete does not pay line 74's grace period inline:
+//! it splices the copy, transfers the locks freezing the successor's old
+//! edge into an [`UnlinkRecord`], and returns; a `call_rcu`-style batch
+//! ([`CallRcu`]) runs lines 75–83 after **one** shared grace period per
+//! batch.
 
 use crate::metrics::TreeMetrics;
 use crate::node::{Dir, KeyBound, Node};
@@ -32,9 +32,7 @@ use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::MetricsRegistry;
 use citrus_rcu::{RcuFlavor, RcuHandle, RcuReadGuard, ScalableRcu};
-use citrus_reclaim::{
-    deferred_free_from_env, CallRcu, CallRcuConfig, EbrDomain, EbrGuard, EbrHandle,
-};
+use citrus_reclaim::{CallRcu, CallRcuConfig, EbrDomain, EbrGuard, EbrHandle};
 use citrus_sync::SpinMutex;
 use core::cell::{Cell, RefCell};
 use core::cmp::Ordering as CmpOrdering;
@@ -43,6 +41,25 @@ use core::marker::PhantomData;
 use core::ptr;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The tree's `call_rcu` tuning in deferred mode. Unlink records freeze
+/// two node locks until they run, so the flush cadence trades lock-frozen
+/// time against flush overhead: `eager_flush` makes the deleting thread
+/// that fills a batch run the flush itself — one shared grace period per
+/// `batch_threshold` deletes, zero worker wakeups in the steady state (a
+/// wakeup is two context switches, expensive when cores are scarce), and
+/// a frozen window bounded by the time the batch takes to fill. The
+/// worker only catches stragglers: `wake_on_first` plus the batch-build
+/// delay bound a lone record's frozen window when the delete rate drops
+/// to zero. Flushing per record instead measures *slower* than the inline
+/// algorithm on a single-core host: a context switch plus a grace period
+/// per delete.
+const DEFERRED_CONFIG: CallRcuConfig = CallRcuConfig {
+    batch_threshold: 16,
+    worker_interval: Duration::from_micros(200),
+    wake_on_first: true,
+    eager_flush: true,
+};
 
 /// How removed nodes are reclaimed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -152,28 +169,16 @@ unsafe impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> Sync for CitrusTree<K,
 
 impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
     /// Creates an empty tree with the default [`ReclaimMode::Epoch`].
-    ///
-    /// Two-child deletes synchronize inline (the paper's algorithm) unless
-    /// the `CITRUS_DEFERRED_FREE` environment variable turns on deferred
-    /// unlinking ([`deferred_free_from_env`]); use
-    /// [`with_options`](Self::with_options) to pick explicitly.
+    /// Two-child deletes synchronize inline (the paper's algorithm); use
+    /// [`with_options`](Self::with_options) to defer their unlink.
     pub fn new() -> Self {
         Self::with_reclaim(ReclaimMode::default())
     }
 
-    /// Creates an empty tree with the given reclamation mode (deferred
-    /// unlinking per `CITRUS_DEFERRED_FREE`).
+    /// Creates an empty tree with the given reclamation mode and the
+    /// paper's inline `synchronize_rcu`.
     pub fn with_reclaim(mode: ReclaimMode) -> Self {
-        Self::with_rcu(F::new(), mode)
-    }
-
-    /// Creates an empty tree over a caller-constructed RCU domain — lets
-    /// tests and ablations pin a domain configuration (e.g.
-    /// `ScalableRcu::with_sharing(false)`) regardless of environment
-    /// knobs like `CITRUS_RCU_NO_SHARING` (deferred unlinking still per
-    /// `CITRUS_DEFERRED_FREE`).
-    pub fn with_rcu(rcu: F, mode: ReclaimMode) -> Self {
-        Self::with_options(rcu, mode, deferred_free_from_env())
+        Self::with_options(F::new(), mode, false)
     }
 
     /// Creates an empty tree with every mode pinned explicitly: the RCU
@@ -185,7 +190,7 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
     /// what make deferred mode sound: pending unlink records free their
     /// node — key and value included — on whichever thread flushes.
     pub fn with_options(rcu: F, mode: ReclaimMode, deferred: bool) -> Self {
-        Self::with_deferred_config(rcu, mode, deferred.then(Self::deferred_config))
+        Self::with_deferred_config(rcu, mode, deferred.then_some(DEFERRED_CONFIG))
     }
 
     /// Like [`with_options`](Self::with_options) but with the deferred
@@ -215,41 +220,6 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
             deferred: deferred.map(|config| CallRcu::with_config(rcu, config)),
             metrics: TreeMetrics::new(),
             _marker: PhantomData,
-        }
-    }
-
-    /// The tree's `call_rcu` tuning. Unlink records freeze two node locks
-    /// until they run, so the flush cadence trades lock-frozen time
-    /// against flush overhead: `eager_flush` makes the deleting thread
-    /// that fills a batch run the flush itself — one shared grace period
-    /// per `batch_threshold` deletes, zero worker wakeups in the steady
-    /// state (a wakeup is two context switches, expensive when cores are
-    /// scarce), and a frozen window bounded by the time the batch takes
-    /// to fill. The worker only catches stragglers: `wake_on_first` plus
-    /// the batch-build delay bound a lone record's frozen window when the
-    /// delete rate drops to zero. Flushing per record instead measures
-    /// *slower* than the inline algorithm on a single-core host: a
-    /// context switch plus a grace period per delete.
-    ///
-    /// `CITRUS_DEFERRED_BATCH` (records) and
-    /// `CITRUS_DEFERRED_INTERVAL_US` (microseconds) override the two
-    /// knobs for experiments; the defaults are tuned on the committed
-    /// benchmark host.
-    fn deferred_config() -> CallRcuConfig {
-        // Malformed values abort loudly instead of silently falling back:
-        // a typo'd knob would otherwise make the run *look* configured.
-        let env_u64 = |name: &str, default: u64| match std::env::var(name) {
-            Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-                panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)")
-            }),
-            Err(std::env::VarError::NotPresent) => default,
-            Err(e) => panic!("invalid {name}: {e}"),
-        };
-        CallRcuConfig {
-            batch_threshold: env_u64("CITRUS_DEFERRED_BATCH", 16) as usize,
-            worker_interval: Duration::from_micros(env_u64("CITRUS_DEFERRED_INTERVAL_US", 200)),
-            wake_on_first: true,
-            eager_flush: true,
         }
     }
 }

@@ -2,8 +2,10 @@
 //! behavior (`incrementTag`, Lemma 3), validation-retry accounting, and
 //! the exact retire/synchronize pattern of `delete`.
 
+mod common;
 use citrus::{CitrusTree, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::SplitMix64;
+use common::new_tree;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -95,7 +97,7 @@ fn grace_periods_track_successor_moves() {
 /// and 84).
 #[test]
 fn contention_produces_validation_retries() {
-    let tree = Tree::with_reclaim(ReclaimMode::Epoch);
+    let tree: Tree = new_tree(ReclaimMode::Epoch);
     let total_retries = AtomicU64::new(0);
     let barrier = Barrier::new(4);
     std::thread::scope(|scope| {
@@ -135,7 +137,7 @@ fn contention_produces_validation_retries() {
 /// must retry (observable: no lost updates, structure intact).
 #[test]
 fn tag_aba_hammer() {
-    let tree = Tree::new();
+    let tree: Tree = new_tree(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         s.insert(100, 100); // anchor whose child slots flap
@@ -177,7 +179,7 @@ fn tag_aba_hammer() {
 #[test]
 fn degenerate_chains_work() {
     for descending in [false, true] {
-        let tree = Tree::new();
+        let tree: Tree = new_tree(ReclaimMode::Epoch);
         let mut s = tree.session();
         let keys: Vec<u64> = if descending {
             (0..2_000).rev().collect()

@@ -1,4 +1,4 @@
-//! Deferred-free mode (`CITRUS_DEFERRED_FREE` / `with_options(.., true)`):
+//! Deferred-free mode (`with_options(.., true)`):
 //! two-child deletes enqueue their unlink on the tree's `call_rcu` domain
 //! instead of synchronizing inline. These tests pin the mode explicitly
 //! (they never read the environment) and cover the correctness corners

@@ -408,8 +408,7 @@ fn torn_scan_sweep_is_clean_with_validation() {
 // ---- Range-routed forest: partial fan-out windows (DESIGN.md §6j) -----
 
 /// A 2-shard range forest with its splitter at 16: keys below 16 live in
-/// shard 0, the rest in shard 1. Built explicitly (not via the
-/// `CITRUS_ROUTER` env knob) so these windows are swept in every CI lane.
+/// shard 0, the rest in shard 1.
 fn make_range_forest() -> Forest {
     Forest::with_range_router_options(vec![16], ReclaimMode::Leak, false)
 }

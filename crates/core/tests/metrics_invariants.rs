@@ -5,15 +5,17 @@
 //! With the `stats` feature off the snapshot is empty and every check
 //! passes vacuously, so this file compiles and runs in both modes.
 
-use citrus::{CitrusTree, GlobalLockRcu, RcuFlavor, ScalableRcu};
+mod common;
+use citrus::{CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::{check_counter_dominates, SplitMix64};
 use citrus_obs::MetricsRegistry;
+use common::new_tree;
 use std::sync::Barrier;
 
 /// Runs a randomized single-threaded workload and returns the tree's
 /// metrics snapshot.
 fn churn_and_snapshot<F: RcuFlavor>(seed: u64) -> citrus_obs::MetricsSnapshot {
-    let tree: CitrusTree<u64, u64, F> = CitrusTree::new();
+    let tree: CitrusTree<u64, u64, F> = new_tree(ReclaimMode::Epoch);
     let mut s = tree.session();
     let mut rng = SplitMix64::new(seed);
     for k in 0..512u64 {
@@ -88,7 +90,7 @@ fn lock_acquisitions_dominate_retries() {
 #[test]
 fn invariant_holds_under_concurrency() {
     const THREADS: u64 = 4;
-    let tree: CitrusTree<u64, u64, ScalableRcu> = CitrusTree::new();
+    let tree: CitrusTree<u64, u64, ScalableRcu> = new_tree(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for k in 0..1024u64 {

@@ -5,14 +5,16 @@
 //! top-level `linearizability.rs` scan battery and the explore-window
 //! suite; this file pins the single-threaded semantics and accounting.
 
+mod common;
 use citrus::{CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
+use common::new_tree;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 
 fn populated() -> Tree {
-    let tree = Tree::new();
+    let tree: Tree = new_tree(ReclaimMode::Epoch);
     let mut s = tree.session();
     for k in [50u64, 25, 75, 12, 37, 62, 87] {
         s.insert(k, k * 10);
@@ -45,7 +47,7 @@ fn degenerate_ranges_are_empty_not_errors() {
     assert!(s.range_scan(&90, &10).is_empty(), "inverted bounds");
     assert_eq!(s.range_scan(&50, &50), vec![(50, 500)], "point range");
 
-    let empty: Tree = Tree::new();
+    let empty: Tree = new_tree(ReclaimMode::Epoch);
     let mut e = empty.session();
     assert!(e.range_scan(&0, &u64::MAX).is_empty(), "empty tree");
     assert_eq!(e.successor(&0), None);
@@ -115,7 +117,7 @@ impl Clone for CloneCounter {
 #[test]
 fn contains_never_clones_the_value() {
     let clones = Arc::new(AtomicUsize::new(0));
-    let tree: CitrusTree<u64, CloneCounter, GlobalLockRcu> = CitrusTree::new();
+    let tree: CitrusTree<u64, CloneCounter, GlobalLockRcu> = new_tree(ReclaimMode::Epoch);
     let mut s = tree.session();
     s.insert(7, CloneCounter(Arc::clone(&clones)));
     let baseline = clones.load(Ordering::Relaxed);

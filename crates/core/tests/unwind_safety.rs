@@ -4,7 +4,9 @@
 //! held, or corrupt the structure. These tests run with default features —
 //! unwind safety is an RAII property, not a chaos-mode one.
 
-use citrus::CitrusTree;
+mod common;
+use citrus::{CitrusTree, ReclaimMode};
+use common::new_tree;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -88,7 +90,7 @@ impl Ord for PanickyKey {
 #[test]
 fn panic_under_node_locks_releases_them() {
     let armed = Arc::new(AtomicBool::new(false));
-    let mut tree: CitrusTree<u64, Bomb> = CitrusTree::new();
+    let mut tree: CitrusTree<u64, Bomb> = new_tree(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for key in [50u64, 25, 75, 60, 85] {
@@ -139,7 +141,7 @@ fn panic_under_node_locks_releases_them() {
 #[test]
 fn panic_inside_read_section_does_not_block_synchronize() {
     let armed = Arc::new(AtomicBool::new(false));
-    let mut tree: CitrusTree<PanickyKey, u64> = CitrusTree::new();
+    let mut tree: CitrusTree<PanickyKey, u64> = new_tree(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for id in [50u64, 25, 75, 60, 85] {

@@ -1,7 +1,11 @@
-//! Environment-driven scaling of the benchmark suite.
+//! Environment-driven scaling of the benchmark suite: the one place bench
+//! binaries read `CITRUS_*` knobs. Library constructors take the parsed
+//! values as arguments.
 
 use crate::keydist::KeyDist;
 use citrus::RouterKind;
+use citrus_api::testkit::parse_bool_knob;
+use std::env::VarError;
 use std::time::Duration;
 
 /// Global benchmark parameters.
@@ -12,16 +16,16 @@ use std::time::Duration;
 ///
 /// | variable | meaning | default | paper |
 /// |---|---|---|---|
-/// | `CITRUS_PAPER` | use the paper's full parameters | unset | — |
+/// | `CITRUS_PAPER` | use the paper's full parameters (`1`/`true`/`yes`) | unset | — |
 /// | `CITRUS_DURATION_MS` | per-point run duration | 200 | 5000 |
 /// | `CITRUS_REPS` | repetitions averaged per point | 1 | 5 |
 /// | `CITRUS_THREADS` | comma-separated thread counts | `1,2,4,8` | `1,4,16,64` |
 /// | `CITRUS_RANGE_SMALL` | small key range | 20000 | 200000 |
 /// | `CITRUS_RANGE_LARGE` | large key range | 200000 | 2000000 |
 /// | `CITRUS_SHARDS` | comma-separated forest shard counts | `1,2,4,8` | — |
-/// | `CITRUS_METRICS` | attach internal-metrics sections to reports | unset | — |
-/// | `CITRUS_DEFERRED_FREE` | defer two-child-delete unlinks to `call_rcu` batches (`1`/`true`/`yes`) in env-driven constructors; the forest sweep A/Bs both modes regardless | unset | — |
-/// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) in env-driven constructors; the forest sweep A/Bs both routers regardless | `hash` | — |
+/// | `CITRUS_METRICS` | attach internal-metrics sections to reports (`1`/`true`/`yes`) | unset | — |
+/// | `CITRUS_DEFERRED_FREE` | defer two-child-delete unlinks to `call_rcu` batches (`1`/`true`/`yes`) in the figure and forest series; the forest sweep A/Bs both modes regardless | unset | — |
+/// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) of the figure series' forests; the forest sweep A/Bs both routers regardless | `hash` | — |
 /// | `CITRUS_KEY_DIST` | key distribution for timed workload draws (`uniform`/`zipf:<theta>`); prefill stays uniform | `uniform` | — |
 ///
 /// Metric collection also requires the `stats` feature (on by default in
@@ -48,8 +52,12 @@ pub struct BenchConfig {
     /// Collect internal metrics (RCU, reclamation, tree counters) during
     /// the highest-thread-count point of each figure panel.
     pub collect_metrics: bool,
-    /// Forest routing policy for env-driven constructions (the forest
-    /// sweep's router axis A/Bs both regardless).
+    /// Whether Citrus trees and forests defer two-child-delete unlinks to
+    /// `call_rcu` batches (the forest sweep's deferred axis A/Bs both
+    /// regardless).
+    pub deferred_free: bool,
+    /// Forest routing policy of the figure series (the forest sweep's
+    /// router axis A/Bs both regardless).
     pub router: RouterKind,
     /// Key distribution for timed workload draws.
     pub key_dist: KeyDist,
@@ -88,43 +96,44 @@ fn parse_count_list(name: &str, raw: &str) -> Vec<usize> {
     counts
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(raw) => parse_u64_knob(name, &raw),
-        Err(std::env::VarError::NotPresent) => default,
+/// A `std::env::var`-shaped variable lookup.
+type Vars<'a> = &'a dyn Fn(&str) -> Result<String, VarError>;
+
+/// Reads knob `name` through `parse`; `default` is parsed the same way
+/// when the variable is unset.
+fn knob<T>(vars: Vars<'_>, name: &str, default: &str, parse: fn(&str, &str) -> T) -> T {
+    match vars(name) {
+        Ok(raw) => parse(name, &raw),
+        Err(VarError::NotPresent) => parse(name, default),
         Err(e) => panic!("invalid {name}: {e}"),
     }
-}
-
-fn env_counts(name: &str, default: &str) -> Vec<usize> {
-    let raw = match std::env::var(name) {
-        Ok(raw) => raw,
-        Err(std::env::VarError::NotPresent) => default.to_string(),
-        Err(e) => panic!("invalid {name}: {e}"),
-    };
-    parse_count_list(name, &raw)
 }
 
 impl BenchConfig {
     /// Reads the configuration from the environment (see type docs).
     pub fn from_env() -> Self {
-        let paper = std::env::var("CITRUS_PAPER").is_ok_and(|v| v != "0" && !v.is_empty());
+        Self::from_vars(&|name| std::env::var(name))
+    }
+
+    fn from_vars(vars: Vars<'_>) -> Self {
+        let paper = knob(vars, "CITRUS_PAPER", "", parse_bool_knob);
         let (d_duration, d_reps, d_threads, d_small, d_large) = if paper {
-            (5_000, 5, "1,4,16,64", 200_000, 2_000_000)
+            ("5000", "5", "1,4,16,64", "200000", "2000000")
         } else {
-            (200, 1, "1,2,4,8", 20_000, 200_000)
+            ("200", "1", "1,2,4,8", "20000", "200000")
         };
+        let duration_ms = knob(vars, "CITRUS_DURATION_MS", d_duration, parse_u64_knob);
         Self {
-            duration: Duration::from_millis(env_u64("CITRUS_DURATION_MS", d_duration)),
-            reps: env_u64("CITRUS_REPS", d_reps) as usize,
-            threads: env_counts("CITRUS_THREADS", d_threads),
-            range_small: env_u64("CITRUS_RANGE_SMALL", d_small),
-            range_large: env_u64("CITRUS_RANGE_LARGE", d_large),
-            shards: env_counts("CITRUS_SHARDS", "1,2,4,8"),
-            collect_metrics: std::env::var("CITRUS_METRICS")
-                .is_ok_and(|v| v != "0" && !v.is_empty()),
-            router: RouterKind::from_env(),
-            key_dist: KeyDist::from_env(),
+            duration: Duration::from_millis(duration_ms),
+            reps: knob(vars, "CITRUS_REPS", d_reps, parse_u64_knob) as usize,
+            threads: knob(vars, "CITRUS_THREADS", d_threads, parse_count_list),
+            range_small: knob(vars, "CITRUS_RANGE_SMALL", d_small, parse_u64_knob),
+            range_large: knob(vars, "CITRUS_RANGE_LARGE", d_large, parse_u64_knob),
+            shards: knob(vars, "CITRUS_SHARDS", "1,2,4,8", parse_count_list),
+            collect_metrics: knob(vars, "CITRUS_METRICS", "", parse_bool_knob),
+            deferred_free: knob(vars, "CITRUS_DEFERRED_FREE", "", parse_bool_knob),
+            router: knob(vars, "CITRUS_ROUTER", "", RouterKind::parse),
+            key_dist: knob(vars, "CITRUS_KEY_DIST", "", KeyDist::parse),
         }
     }
 
@@ -138,6 +147,7 @@ impl BenchConfig {
             range_large: 2_048,
             shards: vec![1, 2],
             collect_metrics: false,
+            deferred_free: false,
             router: RouterKind::Hash,
             key_dist: KeyDist::Uniform,
         }
@@ -175,6 +185,46 @@ mod tests {
     #[should_panic(expected = "invalid CITRUS_DURATION_MS=\"20O\"")]
     fn malformed_numeric_knob_is_a_hard_error() {
         parse_u64_knob("CITRUS_DURATION_MS", "20O");
+    }
+
+    /// A configuration read from `pairs` instead of the environment.
+    fn config_from(pairs: &[(&str, &str)]) -> BenchConfig {
+        BenchConfig::from_vars(&|name| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| (*v).to_string())
+                .ok_or(VarError::NotPresent)
+        })
+    }
+
+    #[test]
+    fn boolean_knobs_read_false_as_false() {
+        let off = ["", "0", "false", "no"].map(|raw| (raw, false));
+        let on = ["1", "true", " yes "].map(|raw| (raw, true));
+        for (raw, on) in off.into_iter().chain(on) {
+            let c = config_from(&[
+                ("CITRUS_PAPER", raw),
+                ("CITRUS_METRICS", raw),
+                ("CITRUS_DEFERRED_FREE", raw),
+            ]);
+            let paper = c.duration == Duration::from_millis(5_000);
+            let got = (paper, c.collect_metrics, c.deferred_free);
+            assert_eq!(got, (on, on, on), "{raw:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CITRUS_METRICS=\"ture\"")]
+    fn malformed_boolean_knob_is_a_hard_error() {
+        config_from(&[("CITRUS_METRICS", "ture")]);
+    }
+
+    #[test]
+    fn router_and_key_dist_knobs_parse() {
+        let c = config_from(&[("CITRUS_ROUTER", "range"), ("CITRUS_KEY_DIST", "zipf:0.5")]);
+        assert_eq!(c.router, RouterKind::Range);
+        assert_eq!(c.key_dist, KeyDist::Zipf { theta: 0.5 });
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
                 let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                 run_algo_observed(
                     algo,
+                    cfg.deferred_free,
                     &spec,
                     cfg.reps,
                     0x816,
@@ -85,7 +86,7 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
             run_forest_observed::<ScalableRcu>(
                 forest_shards,
                 ReclaimMode::Leak,
-                citrus::deferred_free_from_env(),
+                cfg.deferred_free,
                 cfg.router,
                 &spec,
                 cfg.reps,
@@ -282,14 +283,14 @@ fn run_forest_scans<F: RcuFlavor>(
     use std::sync::Barrier;
 
     let key_range = cfg.range_small;
-    let forest: CitrusForest<u64, u64, F> = match router {
-        RouterKind::Hash => CitrusForest::with_config(shards, 0xF04E, ReclaimMode::Leak),
-        RouterKind::Range => CitrusForest::with_range_router_options(
-            citrus::even_splitters(shards, key_range),
-            ReclaimMode::Leak,
-            citrus::deferred_free_from_env(),
-        ),
-    };
+    let forest: CitrusForest<u64, u64, F> = CitrusForest::with_router(
+        router,
+        shards,
+        0xF04E,
+        key_range,
+        ReclaimMode::Leak,
+        cfg.deferred_free,
+    );
     {
         let mut s = forest.session();
         let mut rng = SplitMix64::new(0x5CA4);
@@ -435,6 +436,7 @@ pub fn fig9(cfg: &BenchConfig) -> Vec<Report> {
                         let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                         run_algo_observed(
                             algo,
+                            cfg.deferred_free,
                             &spec,
                             cfg.reps,
                             0x916,
@@ -477,6 +479,7 @@ pub fn fig10(cfg: &BenchConfig) -> Vec<Report> {
                         let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                         run_algo_observed(
                             algo,
+                            cfg.deferred_free,
                             &spec,
                             cfg.reps,
                             0x1016,

@@ -55,21 +55,6 @@ impl KeyDist {
         Self::Zipf { theta }
     }
 
-    /// Reads the `CITRUS_KEY_DIST` environment knob (`uniform` when
-    /// unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value (see [`parse`](Self::parse)).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("CITRUS_KEY_DIST") {
-            Ok(raw) => Self::parse("CITRUS_KEY_DIST", &raw),
-            Err(std::env::VarError::NotPresent) => Self::Uniform,
-            Err(err) => panic!("invalid CITRUS_KEY_DIST: {err}"),
-        }
-    }
-
     /// Stable label used in bench JSON identity rows (`uniform`,
     /// `zipf:0.99`, …).
     #[must_use]

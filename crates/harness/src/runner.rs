@@ -2,8 +2,7 @@
 
 use crate::workload::{Algo, OpKind, WorkloadSpec};
 use citrus::{
-    even_splitters, CitrusForest, CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, RouterKind,
-    ScalableRcu,
+    CitrusForest, CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, RouterKind, ScalableRcu,
 };
 use citrus_api::testkit::SplitMix64;
 use citrus_api::{ConcurrentMap, MapSession};
@@ -290,9 +289,11 @@ pub fn run_recorded<M: ConcurrentMap<u64, u64>>(
 }
 
 /// Builds the structure for `algo` and runs the workload on it, averaging
-/// `reps` repetitions (the paper averages five).
-pub fn run_algo(algo: Algo, spec: &WorkloadSpec, reps: usize, seed: u64) -> f64 {
-    run_algo_observed(algo, spec, reps, seed, None)
+/// `reps` repetitions (the paper averages five). `deferred` picks whether
+/// Citrus trees defer their two-child-delete unlinks to `call_rcu`
+/// batches; the baselines ignore it.
+pub fn run_algo(algo: Algo, deferred: bool, spec: &WorkloadSpec, reps: usize, seed: u64) -> f64 {
+    run_algo_observed(algo, deferred, spec, reps, seed, None)
 }
 
 /// Like [`run_algo`], but when `observer` is `Some((registry, prefix))`
@@ -305,6 +306,7 @@ pub fn run_algo(algo: Algo, spec: &WorkloadSpec, reps: usize, seed: u64) -> f64 
 /// ignore the observer.
 pub fn run_algo_observed(
     algo: Algo,
+    deferred: bool,
     spec: &WorkloadSpec,
     reps: usize,
     seed: u64,
@@ -319,7 +321,7 @@ pub fn run_algo_observed(
         let r = match algo {
             Algo::Citrus => {
                 let map: CitrusTree<u64, u64, ScalableRcu> =
-                    CitrusTree::with_reclaim(ReclaimMode::Leak);
+                    CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Leak, deferred);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -327,7 +329,7 @@ pub fn run_algo_observed(
             }
             Algo::CitrusStdRcu => {
                 let map: CitrusTree<u64, u64, GlobalLockRcu> =
-                    CitrusTree::with_reclaim(ReclaimMode::Leak);
+                    CitrusTree::with_options(GlobalLockRcu::new(), ReclaimMode::Leak, deferred);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -335,7 +337,7 @@ pub fn run_algo_observed(
             }
             Algo::CitrusEbr => {
                 let map: CitrusTree<u64, u64, ScalableRcu> =
-                    CitrusTree::with_reclaim(ReclaimMode::Epoch);
+                    CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, deferred);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -410,17 +412,9 @@ pub fn run_forest_observed<F: RcuFlavor>(
     for rep in 0..reps {
         let rep_seed = seed ^ (rep as u64) << 32;
         // Fresh structure per repetition, as in the paper. Sharding seed 0
-        // keeps routing identical across flavors and repetitions; range
-        // routing is shard-count-normalized the same way the forest
-        // constructor normalizes `shards`.
-        let forest: CitrusForest<u64, u64, F> = match router {
-            RouterKind::Hash => CitrusForest::with_options(shards, 0, mode, deferred),
-            RouterKind::Range => CitrusForest::with_range_router_options(
-                even_splitters(shards.max(1).next_power_of_two(), spec.key_range),
-                mode,
-                deferred,
-            ),
-        };
+        // keeps routing identical across flavors and repetitions.
+        let forest: CitrusForest<u64, u64, F> =
+            CitrusForest::with_router(router, shards, 0, spec.key_range, mode, deferred);
         if rep + 1 == reps {
             if let Some((registry, prefix)) = observer {
                 forest.register_metrics_prefixed(registry, prefix);
@@ -489,7 +483,7 @@ mod tests {
     fn single_writer_mode_runs_every_algo() {
         for algo in Algo::FIGURE_SET {
             let spec = WorkloadSpec::single_writer(200, 2, Duration::from_millis(20));
-            let tp = run_algo(algo, &spec, 1, 11);
+            let tp = run_algo(algo, false, &spec, 1, 11);
             assert!(tp > 0.0, "{algo} produced no throughput");
         }
     }
@@ -663,7 +657,7 @@ mod tests {
     fn citrus_both_flavors_run() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 3, Duration::from_millis(30));
         for algo in [Algo::Citrus, Algo::CitrusStdRcu, Algo::CitrusEbr] {
-            assert!(run_algo(algo, &spec, 1, 13) > 0.0);
+            assert!(run_algo(algo, false, &spec, 1, 13) > 0.0);
         }
     }
 }

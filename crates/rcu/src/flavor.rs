@@ -60,8 +60,7 @@ pub trait RcuFlavor: Send + Sync + Default + 'static {
     /// long on one reader, `synchronize` records a stall event and emits a
     /// diagnostic naming the blocking registry slot (then keeps waiting —
     /// the watchdog never changes grace-period semantics). `None` disables
-    /// it. The process default is 2 s, overridable with
-    /// `CITRUS_RCU_STALL_MS` (`0` disables).
+    /// it. A new domain starts at 2 s.
     ///
     /// The default implementation ignores the setting (for flavors without
     /// a watchdog).

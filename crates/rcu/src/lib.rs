@@ -31,9 +31,8 @@
 //! `synchronize_rcu` callers (Linux-`gp_seq`-style piggybacking; see
 //! DESIGN.md §6d): a caller that observes a full grace period started
 //! after its own entry completed by someone else returns without finishing
-//! its own scan. Sharing changes throughput, never semantics; disable it
-//! with `CITRUS_RCU_NO_SHARING=1` ([`gp_sharing_from_env`]) or per domain
-//! with `with_sharing(false)`.
+//! its own scan. Sharing changes throughput, never semantics; `::new()`
+//! enables it, and `with_sharing(false)` disables it per domain.
 //!
 //! # Thread model
 //!
@@ -81,29 +80,6 @@ pub use flavor::{RcuFlavor, RcuHandle, RcuReadGuard};
 pub use global_lock::{GlobalLockRcu, GlobalLockRcuHandle};
 pub use metrics::RcuMetrics;
 pub use scalable::{ScalableRcu, ScalableRcuHandle};
-
-/// Grace-period sharing default for new domains: enabled unless the
-/// `CITRUS_RCU_NO_SHARING` environment variable is set to `1`, `true`, or
-/// `yes` (the ablation kill switch — see DESIGN.md §6d).
-///
-/// Consulted once per domain construction (`ScalableRcu::new` /
-/// `GlobalLockRcu::new`), never on the synchronize path; use
-/// [`ScalableRcu::with_sharing`] / [`GlobalLockRcu::with_sharing`] to pick
-/// a mode explicitly regardless of the environment.
-#[must_use]
-pub fn gp_sharing_from_env() -> bool {
-    match std::env::var("CITRUS_RCU_NO_SHARING") {
-        Ok(raw) => match raw.trim() {
-            "1" | "true" | "yes" => false,
-            "" | "0" | "false" | "no" => true,
-            other => {
-                panic!("invalid CITRUS_RCU_NO_SHARING={other:?}: expected 1/true/yes or 0/false/no")
-            }
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(e) => panic!("invalid CITRUS_RCU_NO_SHARING: {e}"),
-    }
-}
 
 #[cfg(test)]
 mod tests {

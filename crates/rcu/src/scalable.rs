@@ -92,16 +92,14 @@ pub struct ScalableRcu {
 }
 
 impl ScalableRcu {
-    /// Creates a new domain with no registered threads. Grace-period
-    /// sharing follows the environment
-    /// ([`gp_sharing_from_env`](crate::gp_sharing_from_env)).
+    /// Creates a new domain with no registered threads and grace-period
+    /// sharing on.
     pub fn new() -> Self {
-        Self::with_sharing(crate::gp_sharing_from_env())
+        Self::with_sharing(true)
     }
 
-    /// Creates a new domain with grace-period sharing forced on or off,
-    /// ignoring `CITRUS_RCU_NO_SHARING`. Sharing affects synchronize
-    /// throughput only, never grace-period semantics.
+    /// Creates a new domain with grace-period sharing on or off. Sharing
+    /// affects synchronize throughput only, never grace-period semantics.
     pub fn with_sharing(sharing: bool) -> Self {
         Self {
             registry: Registry::new(),

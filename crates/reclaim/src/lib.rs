@@ -57,30 +57,6 @@ mod metrics;
 pub use deferred::{CallRcu, CallRcuConfig, DeferredMetrics};
 pub use metrics::ReclaimMetrics;
 
-/// Deferred-free default for new trees: the inline `synchronize_rcu` in
-/// the two-child delete is replaced by `call_rcu`-style deferral when the
-/// `CITRUS_DEFERRED_FREE` environment variable is set to `1`, `true`, or
-/// `yes` (see DESIGN.md §6g). Inline mode — the paper's algorithm — stays
-/// the default so the two can be A/B-tested.
-///
-/// Consulted once per tree construction, never on the operation path; use
-/// the explicit constructor options to pick a mode regardless of the
-/// environment.
-#[must_use]
-pub fn deferred_free_from_env() -> bool {
-    match std::env::var("CITRUS_DEFERRED_FREE") {
-        Ok(raw) => match raw.trim() {
-            "1" | "true" | "yes" => true,
-            "" | "0" | "false" | "no" => false,
-            other => {
-                panic!("invalid CITRUS_DEFERRED_FREE={other:?}: expected 1/true/yes or 0/false/no")
-            }
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("invalid CITRUS_DEFERRED_FREE: {e}"),
-    }
-}
-
 use citrus_chaos as chaos;
 use citrus_sync::{CachePadded, Registry, SlotHandle, SpinMutex};
 use core::cell::{Cell, RefCell};

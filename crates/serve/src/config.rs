@@ -5,11 +5,8 @@ use std::time::Duration;
 
 /// Tuning for a [`Server`](crate::Server).
 ///
-/// The defaults are sized for the test and smoke workloads; the
-/// `serve_storm` load generator and the CI lane override them through the
-/// `CITRUS_SERVE_*` environment knobs (see [`ServeConfig::from_env`]).
-/// Per the repo convention, malformed knob values are hard errors — a
-/// typo'd variable must not silently fall back to a default.
+/// The defaults serve the tests, the `serve_storm` load generator and the
+/// repository benchmark alike; the `with_*` builders override one field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Admission high-water mark: a shard queue at or above this depth
@@ -46,52 +43,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Parses one `CITRUS_SERVE_*` integer knob, hard-erroring on malformed
-/// values (repo convention: a typo must not silently shrink a limit).
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|e| {
-            panic!("invalid {name}={raw:?}: {e} (expected an unsigned integer)")
-        }),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(e) => panic!("invalid {name}: {e}"),
-    }
-}
-
 impl ServeConfig {
-    /// Reads the environment knobs over the defaults:
-    /// `CITRUS_SERVE_HIGH_WATER`, `CITRUS_SERVE_BATCH_MAX`, and
-    /// `CITRUS_SERVE_RETRY_AFTER_US`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value, on a zero high-water mark, or on a
-    /// zero batch width.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let cfg = Self {
-            high_water: usize::try_from(env_u64(
-                "CITRUS_SERVE_HIGH_WATER",
-                defaults.high_water as u64,
-            ))
-            .expect("CITRUS_SERVE_HIGH_WATER out of range"),
-            batch_max: usize::try_from(env_u64(
-                "CITRUS_SERVE_BATCH_MAX",
-                defaults.batch_max as u64,
-            ))
-            .expect("CITRUS_SERVE_BATCH_MAX out of range"),
-            retry_after: Duration::from_micros(env_u64(
-                "CITRUS_SERVE_RETRY_AFTER_US",
-                defaults.retry_after.as_micros() as u64,
-            )),
-            recycle_ops: 0,
-        };
-        assert!(cfg.high_water > 0, "CITRUS_SERVE_HIGH_WATER must be > 0");
-        assert!(cfg.batch_max > 0, "CITRUS_SERVE_BATCH_MAX must be > 0");
-        cfg
-    }
-
     /// The same configuration with a different high-water mark.
     #[must_use]
     pub fn with_high_water(mut self, high_water: usize) -> Self {

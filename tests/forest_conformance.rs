@@ -10,11 +10,10 @@
 //! cover the boundary cases: 1 (degenerate single-tree forest), 3
 //! (rounds up to 4 — non-power-of-two request), and 8.
 //!
-//! The sweeps construct their forests through `with_env_router`, so the
-//! whole battery runs against the hash router by default and against the
-//! range router when CI's router lane sets `CITRUS_ROUTER=range`. The
-//! explicitly range-routed tests at the bottom (splitter boundaries,
-//! planted misroutes) run in both lanes regardless.
+//! Every sweep runs under both routers: hash, and range with even
+//! splitters over the key range (range seeds are offset so the two never
+//! share one). The range-routed tests at the bottom pin splitter
+//! boundaries and planted misroutes.
 
 use citrus_repro::citrus_api::testkit;
 use citrus_repro::prelude::*;
@@ -30,53 +29,64 @@ fn seeds_from_env() -> u64 {
     }
 }
 
+/// Offset between a sweep's hash-routed and range-routed seeds.
+const RANGE_SEED_OFFSET: u64 = 0x1000;
+
 /// Sweeps chaos seeds over forest-vs-oracle agreement for one flavor and
-/// shard count. The chaos seed doubles as sharding seed and stream seed,
-/// so a failure replays from the one number in the panic message.
+/// shard count, under both routers. The chaos seed doubles as sharding
+/// seed and stream seed, so a failure replays from the one number in the
+/// panic message.
 fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
     let _watchdog = testkit::stress_watchdog("forest_conformance::agreement_sweep");
-    for i in 0..seeds_from_env() {
-        let seed = base_seed.wrapping_add(i);
-        let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
-        let forest: CitrusForest<u64, u64, F> =
-            CitrusForest::with_env_router(shards, seed, ReclaimMode::Epoch, 128);
-        let oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
-        testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
+    for (router, base_seed) in [
+        (RouterKind::Hash, base_seed),
+        (RouterKind::Range, base_seed + RANGE_SEED_OFFSET),
+    ] {
+        for i in 0..seeds_from_env() {
+            let seed = base_seed.wrapping_add(i);
+            let ctx = format!("seed {seed:#x}, {shards} shards, {router} router");
+            let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
+            let deferred = testkit::deferred_free();
+            let forest: CitrusForest<u64, u64, F> =
+                CitrusForest::with_router(router, shards, seed, 128, ReclaimMode::Epoch, deferred);
+            let oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
+            testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
 
-        // The quiescent views must agree too, and the forest must still
-        // satisfy every per-shard structural invariant.
-        let mut forest = forest;
-        let mut oracle = oracle;
-        assert_eq!(
-            forest.to_vec_quiescent(),
-            oracle.to_vec_quiescent(),
-            "quiescent contents diverged (seed {seed:#x}, {shards} shards)"
-        );
-        let stats = forest.validate_structure().unwrap_or_else(|v| {
-            panic!("forest invariant violation (seed {seed:#x}, {shards} shards): {v:?}")
-        });
-        assert_eq!(stats.len, oracle.len_quiescent());
+            // The quiescent views must agree too, and the forest must still
+            // satisfy every per-shard structural invariant.
+            let mut forest = forest;
+            let mut oracle = oracle;
+            assert_eq!(
+                forest.to_vec_quiescent(),
+                oracle.to_vec_quiescent(),
+                "quiescent contents diverged ({ctx})"
+            );
+            let stats = forest
+                .validate_structure()
+                .unwrap_or_else(|v| panic!("forest invariant violation ({ctx}): {v:?}"));
+            assert_eq!(stats.len, oracle.len_quiescent());
 
-        // Ordered reads must agree too: the forest's k-way merge over
-        // per-shard scans must reproduce the oracle's in-order view.
-        let mut fs = forest.session();
-        let mut os = oracle.session();
-        assert_eq!(
-            fs.range_scan(&0, &127),
-            os.range_scan(&0, &127),
-            "full-range scan diverged (seed {seed:#x}, {shards} shards)"
-        );
-        for probe in [0u64, 31, 64, 97, 127] {
+            // Ordered reads must agree too: the forest's k-way merge over
+            // per-shard scans must reproduce the oracle's in-order view.
+            let mut fs = forest.session();
+            let mut os = oracle.session();
             assert_eq!(
-                fs.successor(&probe),
-                os.successor(&probe),
-                "successor({probe})"
+                fs.range_scan(&0, &127),
+                os.range_scan(&0, &127),
+                "full-range scan diverged ({ctx})"
             );
-            assert_eq!(
-                fs.predecessor(&probe),
-                os.predecessor(&probe),
-                "predecessor({probe})"
-            );
+            for probe in [0u64, 31, 64, 97, 127] {
+                assert_eq!(
+                    fs.successor(&probe),
+                    os.successor(&probe),
+                    "successor({probe}) ({ctx})"
+                );
+                assert_eq!(
+                    fs.predecessor(&probe),
+                    os.predecessor(&probe),
+                    "predecessor({probe}) ({ctx})"
+                );
+            }
         }
     }
 }
@@ -176,8 +186,8 @@ fn three_shards_rounds_up_to_four() {
 #[test]
 fn routing_is_a_pure_function_of_the_seed() {
     for seed in [0u64, 1, 0xDEADBEEF, u64::MAX] {
-        let a: CitrusForest<u64, u64> = CitrusForest::with_sharding_seed(8, seed);
-        let b: CitrusForest<u64, u64> = CitrusForest::with_sharding_seed(8, seed);
+        let a: CitrusForest<u64, u64> = CitrusForest::with_config(8, seed, ReclaimMode::Epoch);
+        let b: CitrusForest<u64, u64> = CitrusForest::with_config(8, seed, ReclaimMode::Epoch);
         for key in 0u64..2048 {
             assert_eq!(
                 a.shard_for(&key),
@@ -197,7 +207,8 @@ fn routing_is_a_pure_function_of_the_seed() {
 fn validator_catches_cross_shard_leaks() {
     use citrus_repro::citrus::InvariantViolation;
 
-    let mut forest: CitrusForest<u64, u64> = CitrusForest::with_sharding_seed(4, 0x5EED);
+    let mut forest: CitrusForest<u64, u64> =
+        CitrusForest::with_config(4, 0x5EED, ReclaimMode::Epoch);
     {
         let mut s = forest.session();
         for k in 0u64..64 {
@@ -371,7 +382,7 @@ fn range_router_boundary_battery() {
 #[test]
 fn hash_router_boundary_battery() {
     boundary_battery(
-        CitrusForest::with_sharding_seed(4, 0x5EED),
+        CitrusForest::with_config(4, 0x5EED, ReclaimMode::Epoch),
         &[100u64, 200, 300],
     );
 }
@@ -387,7 +398,8 @@ fn range_router_degenerate_single_shard_battery() {
 
 #[test]
 fn routed_shard_is_where_the_key_lives() {
-    let mut forest: CitrusForest<u64, u64> = CitrusForest::with_sharding_seed(8, 0x5EED);
+    let mut forest: CitrusForest<u64, u64> =
+        CitrusForest::with_config(8, 0x5EED, ReclaimMode::Epoch);
     {
         let mut s = forest.session();
         for k in 0u64..300 {

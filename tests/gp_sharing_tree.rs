@@ -3,9 +3,6 @@
 //! identical per-operation results and an identical final tree whether
 //! `synchronize_rcu` piggybacking is on or off — sharing is invisible at
 //! the dictionary API.
-//!
-//! This file is its own test binary so the environment-knob test below
-//! cannot race with domain construction in unrelated tests.
 
 use citrus_repro::citrus_api::testkit::{self, SplitMix64};
 use citrus_repro::citrus_rcu::RcuFlavor as Flavor;
@@ -29,7 +26,7 @@ type LaneResults = Vec<Vec<(bool, bool)>>;
 /// a piggybacked return could go wrong). The prefill order is shuffled so
 /// the tree is bushy and removes actually hit two-child nodes.
 fn run_schedule<F: Flavor>(rcu: F) -> (LaneResults, Vec<(u64, u64)>) {
-    let tree = CitrusTree::<u64, u64, F>::with_rcu(rcu, ReclaimMode::Epoch);
+    let tree = CitrusTree::<u64, u64, F>::with_options(rcu, ReclaimMode::Epoch, false);
     {
         let mut rng = SplitMix64::new(0x9E37_79B9_5EED);
         let mut keys: Vec<u64> = (0..KEYS).collect();
@@ -111,19 +108,4 @@ fn interleaved_updaters_agree_scalable() {
 fn interleaved_updaters_agree_global_lock() {
     let _watchdog = testkit::stress_watchdog("interleaved_updaters_agree_global_lock");
     shared_and_unshared_agree(GlobalLockRcu::with_sharing);
-}
-
-/// `CITRUS_RCU_NO_SHARING` reaches domains built after it is set (and
-/// only those). Safe here: this binary's other tests construct their
-/// domains with `with_sharing`, never from the environment.
-#[test]
-fn no_sharing_env_knob_reaches_fresh_domains() {
-    std::env::set_var("CITRUS_RCU_NO_SHARING", "1");
-    let scalable = ScalableRcu::new();
-    let global = GlobalLockRcu::new();
-    std::env::remove_var("CITRUS_RCU_NO_SHARING");
-    assert!(!scalable.sharing());
-    assert!(!global.sharing());
-    assert!(ScalableRcu::new().sharing());
-    assert!(GlobalLockRcu::new().sharing());
 }

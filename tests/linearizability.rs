@@ -76,28 +76,54 @@ where
     );
 }
 
+/// A Citrus tree over a fresh `F` domain; two-child deletes defer their
+/// unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
+fn citrus_tree<F: RcuFlavor>(mode: ReclaimMode) -> CitrusTree<u64, u64, F> {
+    CitrusTree::with_options(F::new(), mode, testkit::deferred_free())
+}
+
+/// A `shards`-shard forest over `[0, key_range)`, hashed with seed
+/// 0x5EED or split evenly; two-child deletes defer their unlink when the
+/// lane asks for it.
+fn routed_forest(router: RouterKind, shards: usize, key_range: u64) -> CitrusForest<u64, u64> {
+    let mode = ReclaimMode::Epoch;
+    CitrusForest::with_router(
+        router,
+        shards,
+        0x5EED,
+        key_range,
+        mode,
+        testkit::deferred_free(),
+    )
+}
+
+/// Both routers' runs of a forest battery. The range run's seeds are
+/// offset so the two routers' history dumps (named by structure and
+/// seed) never collide.
+fn for_both_routers(base_seed: u64, battery: impl Fn(RouterKind, u64)) {
+    battery(RouterKind::Hash, base_seed);
+    battery(RouterKind::Range, base_seed + 0x100);
+}
+
 // ---- Citrus: both RCU flavors × both reclamation modes ----------------
 
 #[test]
 fn citrus_scalable_epoch() {
     lin_battery(
-        || CitrusTree::<u64, u64, ScalableRcu>::with_reclaim(ReclaimMode::Epoch),
+        || citrus_tree::<ScalableRcu>(ReclaimMode::Epoch),
         0x11A_0001,
     );
 }
 
 #[test]
 fn citrus_scalable_leak() {
-    lin_battery(
-        || CitrusTree::<u64, u64, ScalableRcu>::with_reclaim(ReclaimMode::Leak),
-        0x11A_0002,
-    );
+    lin_battery(|| citrus_tree::<ScalableRcu>(ReclaimMode::Leak), 0x11A_0002);
 }
 
 #[test]
 fn citrus_global_lock_epoch() {
     lin_battery(
-        || CitrusTree::<u64, u64, GlobalLockRcu>::with_reclaim(ReclaimMode::Epoch),
+        || citrus_tree::<GlobalLockRcu>(ReclaimMode::Epoch),
         0x11A_0003,
     );
 }
@@ -105,35 +131,32 @@ fn citrus_global_lock_epoch() {
 #[test]
 fn citrus_global_lock_leak() {
     lin_battery(
-        || CitrusTree::<u64, u64, GlobalLockRcu>::with_reclaim(ReclaimMode::Leak),
+        || citrus_tree::<GlobalLockRcu>(ReclaimMode::Leak),
         0x11A_0004,
     );
 }
 
-// ---- CitrusForest: shards 1 / 4 / 8 -----------------------------------
+// ---- CitrusForest: shards 1 / 4 / 8, both routers ---------------------
 
 #[test]
 fn forest_one_shard() {
-    lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(1, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0011,
-    );
+    for_both_routers(0x11A_0011, |router, seed| {
+        lin_battery(|| routed_forest(router, 1, 32), seed);
+    });
 }
 
 #[test]
 fn forest_four_shards() {
-    lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(4, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0014,
-    );
+    for_both_routers(0x11A_0014, |router, seed| {
+        lin_battery(|| routed_forest(router, 4, 32), seed);
+    });
 }
 
 #[test]
 fn forest_eight_shards() {
-    lin_battery(
-        || CitrusForest::<u64, u64>::with_env_router(8, 0x5EED, ReclaimMode::Epoch, 32),
-        0x11A_0018,
-    );
+    for_both_routers(0x11A_0018, |router, seed| {
+        lin_battery(|| routed_forest(router, 8, 32), seed);
+    });
 }
 
 // ---- The five baselines -----------------------------------------------
@@ -169,7 +192,7 @@ fn baseline_bonsai() {
 #[test]
 fn scan_citrus_scalable_inline() {
     scan_battery(
-        || CitrusTree::<u64, u64, ScalableRcu>::with_reclaim(ReclaimMode::Epoch),
+        || citrus_tree::<ScalableRcu>(ReclaimMode::Epoch),
         0x5CA_0001,
     );
 }
@@ -191,7 +214,7 @@ fn scan_citrus_scalable_deferred() {
 #[test]
 fn scan_citrus_global_lock_inline() {
     scan_battery(
-        || CitrusTree::<u64, u64, GlobalLockRcu>::with_reclaim(ReclaimMode::Leak),
+        || citrus_tree::<GlobalLockRcu>(ReclaimMode::Leak),
         0x5CA_0003,
     );
 }
@@ -212,30 +235,26 @@ fn scan_citrus_global_lock_deferred() {
 
 #[test]
 fn scan_forest_one_shard() {
-    scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(1, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0011,
-    );
+    for_both_routers(0x5CA_0011, |router, seed| {
+        scan_battery(|| routed_forest(router, 1, 16), seed);
+    });
 }
 
 #[test]
 fn scan_forest_four_shards() {
-    scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(4, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0014,
-    );
+    for_both_routers(0x5CA_0014, |router, seed| {
+        scan_battery(|| routed_forest(router, 4, 16), seed);
+    });
 }
 
 #[test]
 fn scan_forest_eight_shards() {
-    scan_battery(
-        || CitrusForest::<u64, u64>::with_env_router(8, 0x5EED, ReclaimMode::Epoch, 16),
-        0x5CA_0018,
-    );
+    for_both_routers(0x5CA_0018, |router, seed| {
+        scan_battery(|| routed_forest(router, 8, 16), seed);
+    });
 }
 
-/// Explicitly range-routed forest (independent of `CITRUS_ROUTER`): the
-/// partial fan-out — scans entering only overlapping shards, directed
+/// Range-routed forest with uneven splitters: the partial fan-out — scans entering only overlapping shards, directed
 /// successor/predecessor probes touching one or two — must still
 /// linearize against the multi-key WGL checker. Splitters at 4 and 8 cut
 /// the 16-key scan range into three live shards.
@@ -343,9 +362,7 @@ fn stale_read_adapter_is_rejected_with_minimal_counterexample() {
 
     // Satellite: the failed run must leave a forensic history dump whose
     // path the panic message (and the stress watchdog) can name.
-    // Take the path from this run's own panic message: the process-wide
-    // `last_history_dump()` may already name a concurrently running
-    // sibling test's dump.
+    // Take the path from this run's own panic message.
     let dump = message
         .lines()
         .find_map(|l| l.strip_prefix("full history dump: "))

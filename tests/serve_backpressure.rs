@@ -224,24 +224,3 @@ fn shutdown_is_idempotent() {
     server.shutdown();
     drop(server);
 }
-
-// ---- Env-derived configuration ----------------------------------------
-
-/// `ServeConfig::from_env` round-trips through the real knobs: a
-/// serve-storm run in CI configures admission entirely from the
-/// environment, so a misparsed knob must be a hard error, not a default.
-#[test]
-fn config_from_env_reads_knobs() {
-    // Set-and-remove is racy if tests in this binary ran concurrently
-    // with other env readers; these names are owned by this test alone.
-    std::env::set_var("CITRUS_SERVE_HIGH_WATER", "7");
-    std::env::set_var("CITRUS_SERVE_BATCH_MAX", "3");
-    std::env::set_var("CITRUS_SERVE_RETRY_AFTER_US", "250");
-    let config = ServeConfig::from_env();
-    std::env::remove_var("CITRUS_SERVE_HIGH_WATER");
-    std::env::remove_var("CITRUS_SERVE_BATCH_MAX");
-    std::env::remove_var("CITRUS_SERVE_RETRY_AFTER_US");
-    assert_eq!(config.high_water, 7);
-    assert_eq!(config.batch_max, 3);
-    assert_eq!(config.retry_after, Duration::from_micros(250));
-}

@@ -240,9 +240,7 @@ mod planted_mutant {
 
         // The failed run must leave a forensic history dump whose path
         // the panic message names.
-        // Take the path from this run's own panic message: the process-wide
-        // `last_history_dump()` may already name a concurrently running
-        // sibling test's dump.
+        // Take the path from this run's own panic message.
         let dump = message
             .lines()
             .find_map(|l| l.strip_prefix("full history dump: "))
