@@ -535,15 +535,6 @@ pub fn stress_iters(default: u64) -> u64 {
     env_u64_knob("CITRUS_STRESS_ITERS", default)
 }
 
-/// Whether tests build Citrus trees and forests in deferred-free mode:
-/// the `CITRUS_DEFERRED_FREE` environment variable (`1`/`true`/`yes`),
-/// off when unset. Library constructors never read it; tests that the
-/// reclaim CI lane flips pass this to the explicit `with_options`
-/// constructors. A malformed value is a hard error ([`parse_bool_knob`]).
-pub fn deferred_free() -> bool {
-    env_knob("CITRUS_DEFERRED_FREE", false, parse_bool_knob)
-}
-
 /// Parses one boolean knob value: `1`/`true`/`yes` or `0`/`false`/`no`
 /// (or empty), surrounding whitespace ignored. `name` is the knob being
 /// parsed, for the error message.

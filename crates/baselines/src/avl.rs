@@ -26,9 +26,9 @@
 //! Nodes live in an arena; replaced values go to a value graveyard (no
 //! reclamation during runs, per the paper's methodology).
 
-use crate::graveyard::Graveyard;
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_chaos as chaos;
+use citrus_reclaim::Graveyard;
 use citrus_sync::{Backoff, RawSpinLock};
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;

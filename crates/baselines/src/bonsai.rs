@@ -21,10 +21,10 @@
 //! Replaced nodes are kept in an arena and freed when the tree drops (the
 //! paper's no-reclamation methodology).
 
-use crate::graveyard::Graveyard;
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_rcu::{RcuFlavor, RcuHandle, ScalableRcu};
+use citrus_reclaim::Graveyard;
 use citrus_sync::SpinMutex;
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;

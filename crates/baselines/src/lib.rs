@@ -17,7 +17,7 @@
 //!
 //! Matching the paper's methodology ("without performing any memory
 //! reclamation"), removed/replaced nodes go to a per-structure
-//! [`Graveyard`] and are freed when the structure is dropped.
+//! [`Graveyard`](citrus_reclaim::Graveyard) and are freed when the structure is dropped.
 //! (The Citrus tree additionally offers epoch-based reclamation; the
 //! baselines deliberately reproduce the paper's setup.)
 
@@ -26,14 +26,12 @@
 
 mod avl;
 mod bonsai;
-mod graveyard;
 mod lockfree;
 mod rbtree;
 mod skiplist;
 
 pub use avl::{AvlSession, OptimisticAvlTree};
 pub use bonsai::{BonsaiSession, BonsaiTree};
-pub use graveyard::Graveyard;
 pub use lockfree::{LockFreeBst, LockFreeSession};
 pub use rbtree::{RbSession, RelativisticRbTree};
 pub use skiplist::{LazySkipList, SkipListSession};

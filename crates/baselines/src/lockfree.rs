@@ -20,9 +20,9 @@
 //! Nodes are recorded in an arena at allocation and freed when the tree
 //! drops (the paper's no-reclamation methodology).
 
-use crate::graveyard::Graveyard;
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_chaos as chaos;
+use citrus_reclaim::Graveyard;
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;
 use core::marker::PhantomData;

@@ -18,10 +18,10 @@
 //! Replaced/removed nodes go to the graveyard (no reclamation during
 //! runs, per the paper's methodology).
 
-use crate::graveyard::Graveyard;
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_chaos as chaos;
 use citrus_rcu::{RcuFlavor, RcuHandle, ScalableRcu};
+use citrus_reclaim::Graveyard;
 use citrus_sync::SpinMutex;
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;

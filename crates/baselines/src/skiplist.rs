@@ -10,10 +10,10 @@
 //! * `remove` is *lazy*: it first marks the victim (logical delete — the
 //!   linearization point), then locks predecessors, validates, and unlinks.
 
-use crate::graveyard::Graveyard;
 use citrus_api::testkit::SplitMix64;
 use citrus_api::{ConcurrentMap, MapSession};
 use citrus_chaos as chaos;
+use citrus_reclaim::Graveyard;
 use citrus_sync::{Backoff, RawSpinLock};
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;

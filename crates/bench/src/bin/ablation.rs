@@ -84,7 +84,7 @@ fn main() {
         cfg.duration,
     );
     for algo in [Algo::Citrus, Algo::CitrusEbr] {
-        let tp = runner::run_algo(algo, cfg.deferred_free, &spec, cfg.reps, 0xAB1A);
+        let tp = runner::run_algo(algo, &spec, cfg.reps, 0xAB1A);
         println!("  {:<42} {:>10.0} ops/s", algo.label(), tp);
     }
     println!(

@@ -6,14 +6,12 @@
 //! key shard a private domain, so grace periods in one shard never wait on
 //! readers or updaters of another. This sweep measures throughput over
 //! `shards ∈ CITRUS_SHARDS (default 1,2,4,8) × update ratio {50%, 100%} ×
-//! router {hash, range} × RCU flavor {scalable, global-lock} × unlink
-//! mode {inline, deferred}` at the configured maximum thread count, and
-//! persists the grid — including per-shard `synchronize_rcu` and
-//! grace-period counters, the direct evidence of shard-local grace
-//! periods — to `BENCH_forest.json`. The deferred axis takes the
-//! grace-period wait off the delete path entirely (per-shard `call_rcu`
-//! batches, DESIGN.md §6g); the router axis establishes that point-op
-//! throughput is router-agnostic under uniform keys.
+//! router {hash, range} × RCU flavor {scalable, global-lock}` at the
+//! configured maximum thread count, and persists the grid — including
+//! per-shard `synchronize_rcu` and grace-period counters, the direct
+//! evidence of shard-local grace periods — to `BENCH_forest.json`. The
+//! router axis establishes that point-op throughput is router-agnostic
+//! under uniform keys.
 //!
 //! A second grid measures whole-forest validated `range_scan` throughput
 //! per shard count and router (`scan_cells` in the JSON), at a narrow and
@@ -52,15 +50,7 @@ const ALIGNMENT_NOTE: &str = "node hot-head cache alignment (repr(C, align(64)))
      Measurement host caveat: 1 hardware thread, so grace periods in one shard already \
      overlap other threads' work via yield; the committed sweep shows the shard trend \
      but understates the multi-core speedup, where a stalled synchronize_rcu would \
-     otherwise idle whole cores. The same caveat applies to the deferred rows: an \
-     inline synchronize_rcu blocks one thread while the other seven fill the core, so \
-     its aggregate cost here is near zero and deferred unlinking can only show its \
-     bookkeeping overhead (one heap record per two-child delete, two locks frozen \
-     until the batch flushes) -- the rows land within ~10% of inline, with \
-     grace_periods_per_shard collapsed ~50x as the mechanism evidence. The isolated \
-     retire path (BENCH_rcu_micro.json, retire cells) shows the win the forest mix \
-     dilutes: deferred beats inline-synchronize retirement ~4x at every updater count \
-     even on this host. Router axis: point cells are expected router-agnostic under \
+     otherwise idle whole cores. Router axis: point cells are expected router-agnostic under \
      uniform keys; scan cells pay the all-shard fan-out tax under hash routing but \
      only enter overlapping shards under range routing, so narrow-span range-routed \
      scans should not fall as shards grow; skew cells record the converse tradeoff \
@@ -91,47 +81,33 @@ fn print_grid(cells: &[ForestCell], contains_pct: u32, router: &str, shards: &[u
     }
     println!();
     for flavor in ["rcu-scalable", "rcu-global-lock"] {
-        for deferred in [false, true] {
-            let label = format!(
-                "{flavor} [{}]",
-                if deferred { "deferred" } else { "inline" }
-            );
-            print!("{label:<22}");
-            for &s in shards {
-                let cell = cells.iter().find(|c| {
-                    c.flavor == flavor
-                        && c.router == router
-                        && c.shards == s
-                        && c.contains_pct == contains_pct
-                        && c.deferred == deferred
-                });
-                match cell {
-                    Some(c) => print!("{:>10}", fmt_ops(c.run.ops_per_s)),
-                    None => print!("{:>10}", "-"),
-                }
+        print!("{flavor:<22}");
+        for &s in shards {
+            let cell = cells.iter().find(|c| {
+                c.flavor == flavor
+                    && c.router == router
+                    && c.shards == s
+                    && c.contains_pct == contains_pct
+            });
+            match cell {
+                Some(c) => print!("{:>10}", fmt_ops(c.run.ops_per_s)),
+                None => print!("{:>10}", "-"),
             }
-            println!();
         }
+        println!();
     }
     // Per-shard synchronize calls at the widest sweep point: all-zero
-    // tails would mean grace periods are not actually spreading (and
-    // deferred mode must show near-zero inline synchronize calls).
-    for deferred in [false, true] {
-        if let Some(c) = cells.iter().find(|c| {
-            c.flavor == "rcu-scalable"
-                && c.router == router
-                && c.contains_pct == contains_pct
-                && c.deferred == deferred
-                && c.shards == shards.iter().copied().max().unwrap_or(1)
-        }) {
-            println!(
-                "scalable [{}] @ {} shards: sync calls/shard {:?}, grace periods/shard {:?}",
-                if deferred { "deferred" } else { "inline" },
-                c.shards,
-                c.run.sync_calls_per_shard,
-                c.run.grace_periods_per_shard
-            );
-        }
+    // tails would mean grace periods are not actually spreading.
+    if let Some(c) = cells.iter().find(|c| {
+        c.flavor == "rcu-scalable"
+            && c.router == router
+            && c.contains_pct == contains_pct
+            && c.shards == shards.iter().copied().max().unwrap_or(1)
+    }) {
+        println!(
+            "scalable @ {} shards: sync calls/shard {:?}, grace periods/shard {:?}",
+            c.shards, c.run.sync_calls_per_shard, c.run.grace_periods_per_shard
+        );
     }
     println!();
 }
@@ -152,7 +128,7 @@ fn cell_json(c: &ForestCell) -> String {
         .join(", ");
     format!(
         "{{\"flavor\": \"{}\", \"router\": \"{}\", \"shards\": {}, \"contains_pct\": {}, \
-         \"threads\": {}, \"deferred\": {}, \"key_dist\": \"{}\", \"ops_per_s\": {}, \
+         \"threads\": {}, \"key_dist\": \"{}\", \"ops_per_s\": {}, \
          \"sync_calls_per_shard\": [{}], \"grace_periods_per_shard\": [{}], \
          \"occupancy\": [{}]}}",
         benchjson::esc(c.flavor),
@@ -160,7 +136,6 @@ fn cell_json(c: &ForestCell) -> String {
         c.shards,
         c.contains_pct,
         c.threads,
-        c.deferred,
         benchjson::esc(&c.key_dist),
         benchjson::num(c.run.ops_per_s),
         vec_u64(&c.run.sync_calls_per_shard),

@@ -6,39 +6,27 @@
 //!    *concurrent* synchronizers grows (up to 8), per flavor, with
 //!    grace-period sharing on and off, plus the piggyback counts that
 //!    explain the difference;
-//! 3. retire throughput, deferred vs inline: threads retiring heap
-//!    objects either pay `synchronize_rcu` per object (the tree's old
-//!    delete hot path) or enqueue on a `call_rcu` batch queue whose
-//!    worker amortizes one grace period over the whole batch
-//!    (DESIGN.md §6g). The clock includes the final drain, so every
-//!    counted retirement was actually freed;
-//! 4. validated range-scan storm: linearizable `range_scan` throughput on
+//! 3. validated range-scan storm: linearizable `range_scan` throughput on
 //!    a Citrus tree as updater churn grows, with the validation-restart
 //!    counts that price the guarantee (DESIGN.md §6i).
 //!
 //! The global-lock flavor's synchronize rate should flatten (callers
 //! serialize); the scalable flavor's aggregate rate should not — and with
 //! sharing on, queued callers increasingly return on a peer's grace
-//! period instead of scanning themselves. Deferred retirement should beat
-//! inline by orders of magnitude on both flavors: the batch queue turns a
-//! grace period per object into a grace period per ~batch.
+//! period instead of scanning themselves.
 //!
 //! Results are persisted to `BENCH_rcu_micro.json` (see
 //! `citrus_bench::benchjson`). Set `CITRUS_STORM_REQUIRE_PIGGYBACK=1` to
 //! make the run fail unless the widest sharing-on cell of each flavor
 //! piggybacked at least once (used as a CI smoke assertion).
 
-use citrus_bench::{
-    benchjson, retire_storm, scan_storm, synchronize_storm, RetireCell, ScanCell, StormCell,
-};
+use citrus_bench::{benchjson, scan_storm, synchronize_storm, ScanCell, StormCell};
 use citrus_rcu::{GlobalLockRcu, RcuFlavor, RcuHandle, ScalableRcu};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SYNCERS: [usize; 4] = [1, 2, 4, 8];
 const READERS: usize = 2;
-const RETIRE_UPDATERS: [usize; 2] = [1, 4];
 const SCANNERS: usize = 2;
 const SCAN_UPDATERS: [usize; 3] = [0, 1, 4];
 const SCAN_KEY_RANGE: u64 = 20_000;
@@ -74,27 +62,6 @@ fn print_row(label: &str, cells: &[StormCell]) {
     print!("   piggybacks:");
     for c in cells {
         print!(" {}", c.piggybacks);
-    }
-    println!();
-}
-
-/// One retire row: fresh domain (and `CallRcu` queue) per cell, like
-/// [`storm_row`].
-fn retire_row<F: RcuFlavor>(deferred: bool, dur: Duration) -> Vec<RetireCell> {
-    RETIRE_UPDATERS
-        .iter()
-        .map(|&n| retire_storm(&Arc::new(F::new()), deferred, n, READERS, dur))
-        .collect()
-}
-
-fn print_retire_row(label: &str, cells: &[RetireCell]) {
-    print!("{label:<28}");
-    for c in cells {
-        print!("{:>14.0}", c.retires_per_s);
-    }
-    print!("   grace periods:");
-    for c in cells {
-        print!(" {}", c.grace_periods);
     }
     println!();
 }
@@ -174,47 +141,6 @@ fn main() {
     );
 
     println!(
-        "\nretire throughput: objects retired and freed/s ({READERS} background \
-         readers, {dur:?}/cell):"
-    );
-    print!("{:<28}", "flavor / mode \\ updaters");
-    for n in RETIRE_UPDATERS {
-        print!("{n:>14}");
-    }
-    println!();
-    let retire_rows: Vec<(&str, bool, Vec<RetireCell>)> = vec![
-        (
-            ScalableRcu::NAME,
-            false,
-            retire_row::<ScalableRcu>(false, dur),
-        ),
-        (
-            ScalableRcu::NAME,
-            true,
-            retire_row::<ScalableRcu>(true, dur),
-        ),
-        (
-            GlobalLockRcu::NAME,
-            false,
-            retire_row::<GlobalLockRcu>(false, dur),
-        ),
-        (
-            GlobalLockRcu::NAME,
-            true,
-            retire_row::<GlobalLockRcu>(true, dur),
-        ),
-    ];
-    for (name, deferred, cells) in &retire_rows {
-        let label = format!("{name} ({})", if *deferred { "deferred" } else { "inline" });
-        print_retire_row(&label, cells);
-    }
-    println!(
-        "\nexpected: deferred retirement beats inline by orders of magnitude on\n\
-         both flavors — the call_rcu queue amortizes one grace period over a\n\
-         whole batch instead of paying one per object (DESIGN.md §6g)."
-    );
-
-    println!(
         "\nvalidated range scans: scans/s ({SCANNERS} scanners, span {SCAN_SPAN} of \
          [0,{SCAN_KEY_RANGE}], {dur:?}/cell):"
     );
@@ -280,28 +206,6 @@ fn main() {
                 c.syncers,
                 benchjson::num(c.per_sec),
                 c.piggybacks,
-                c.grace_periods,
-            );
-            first = false;
-        }
-    }
-    json.push_str("\n    ]\n  },\n");
-    let _ = write!(
-        json,
-        "  \"retire\": {{\n    \"duration_ms\": {},\n    \"readers\": {READERS},\n    \"cells\": [",
-        dur.as_millis(),
-    );
-    let mut first = true;
-    for (name, deferred, cells) in &retire_rows {
-        for c in cells {
-            let _ = write!(
-                json,
-                "{}\n      {{\"flavor\": \"{}\", \"deferred\": {deferred}, \"updaters\": {}, \
-                 \"retires_per_s\": {}, \"grace_periods\": {}}}",
-                if first { "" } else { "," },
-                benchjson::esc(name),
-                c.updaters,
-                benchjson::num(c.retires_per_s),
                 c.grace_periods,
             );
             first = false;

@@ -98,10 +98,6 @@ where
     ///
     /// Returns the first [`InvariantViolation`] found.
     pub fn validate_structure(&mut self) -> Result<TreeStats, InvariantViolation> {
-        // Deferred mode: a pending unlink record legitimately keeps the
-        // old successor reachable, marked, locked, and duplicated. Run all
-        // pending records first so the strict invariants below apply.
-        self.flush_deferred();
         let root = self.root_ptr();
         // SAFETY (whole function): `&mut self` means no concurrent
         // accessors; reachable nodes are alive until drop.
@@ -197,9 +193,6 @@ where
     /// offers only single-key `contains` concurrently, and iteration only
     /// at quiescence.
     pub fn for_each_quiescent(&mut self, mut f: impl FnMut(&K, &V)) {
-        // Run pending deferred unlinks: a not-yet-unlinked successor would
-        // otherwise be visited twice (its copy and its old position).
-        self.flush_deferred();
         let root = self.root_ptr();
         // SAFETY: `&mut self` — exclusive access.
         unsafe {

@@ -86,7 +86,7 @@
 
 use crate::checks::{InvariantViolation, TreeStats};
 use crate::node::Dir;
-use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt};
+use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt, DEFERRED_REMOVED};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
 use citrus_chaos as chaos;
 use citrus_obs::{Counter, Log2Histogram, MetricsRegistry};
@@ -329,8 +329,7 @@ pub struct CitrusForest<K, V, F: RcuFlavor = ScalableRcu> {
 
 impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a forest with the default shard count (8) and
-    /// [`ReclaimMode::Epoch`]. Two-child deletes synchronize inline (the
-    /// paper's algorithm).
+    /// [`ReclaimMode::Epoch`].
     #[must_use]
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
@@ -346,35 +345,37 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
 
     /// Explicit constructor: shard count (rounded up to a power of two),
     /// sharding seed (de-correlates routing from adversarial key
-    /// patterns), and reclamation mode for every shard, with inline
-    /// two-child deletes.
+    /// patterns), and reclamation mode for every shard.
     #[must_use]
     pub fn with_config(n: usize, seed: u64, mode: ReclaimMode) -> Self {
-        Self::with_options(n, seed, mode, false)
-    }
-
-    /// Fully explicit constructor: additionally pins whether every shard's
-    /// two-child deletes defer their unlink to the shard's own `call_rcu`
-    /// batch (`deferred = true`) or synchronize inline. Each shard gets a
-    /// **private** deferred domain — its batches wait only on the shard's
-    /// own grace periods, preserving shard independence.
-    #[must_use]
-    pub fn with_options(n: usize, seed: u64, mode: ReclaimMode, deferred: bool) -> Self {
         let n = n.max(1).next_power_of_two();
         Self {
-            shards: (0..n)
-                .map(|_| CitrusTree::with_options(F::new(), mode, deferred))
-                .collect(),
+            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
             router: Router::Hash { seed },
             metrics: ForestMetrics::new(n),
         }
+    }
+
+    /// [`with_config`](Self::with_config) plus a `deferred` flag that must
+    /// be `false`. The flag selected a batched deferred-unlink mode, which
+    /// was removed because it broke linearizability (DESIGN.md §6g); it
+    /// stays only so that callers written against the old signature, the
+    /// repository benchmark among them, still compile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deferred` is `true`.
+    #[must_use]
+    pub fn with_options(n: usize, seed: u64, mode: ReclaimMode, deferred: bool) -> Self {
+        assert!(!deferred, "{DEFERRED_REMOVED}");
+        Self::with_config(n, seed, mode)
     }
 }
 
 impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Creates a range-routed forest: `splitters.len() + 1` shards, each
     /// owning a contiguous key range (see the [module docs](self)), with
-    /// the default reclamation mode and inline two-child deletes.
+    /// the default reclamation mode.
     /// An empty splitter list is the degenerate single-shard forest.
     ///
     /// # Panics
@@ -382,26 +383,24 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     /// Panics unless `splitters` is strictly ascending.
     #[must_use]
     pub fn with_range_router(splitters: Vec<K>) -> Self {
-        Self::with_range_router_options(splitters, ReclaimMode::default(), false)
+        Self::with_range_router_options(splitters, ReclaimMode::default())
     }
 
-    /// Fully explicit range-routed constructor; the reclamation knobs
-    /// mean the same as in [`with_options`](Self::with_options).
+    /// Range-routed constructor with an explicit reclamation mode for
+    /// every shard.
     ///
     /// # Panics
     ///
     /// Panics unless `splitters` is strictly ascending.
     #[must_use]
-    pub fn with_range_router_options(splitters: Vec<K>, mode: ReclaimMode, deferred: bool) -> Self {
+    pub fn with_range_router_options(splitters: Vec<K>, mode: ReclaimMode) -> Self {
         assert!(
             splitters.windows(2).all(|w| w[0] < w[1]),
             "range-router splitters must be strictly ascending"
         );
         let n = splitters.len() + 1;
         Self {
-            shards: (0..n)
-                .map(|_| CitrusTree::with_options(F::new(), mode, deferred))
-                .collect(),
+            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
             router: Router::Range {
                 splitters: splitters.into_boxed_slice(),
             },
@@ -412,7 +411,7 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
 
 impl<V: Send + Sync, F: RcuFlavor> CitrusForest<u64, V, F> {
     /// Builds a `u64`-keyed forest under either router: `Hash` behaves
-    /// exactly like [`with_options`](Self::with_options); `Range`
+    /// exactly like [`with_config`](Self::with_config); `Range`
     /// partitions `[0, key_range)` with [`even_splitters`] (the seed is
     /// then unused). `n` is rounded up to a power of two under **both**
     /// routers, so the two sweep identical shard counts.
@@ -428,13 +427,12 @@ impl<V: Send + Sync, F: RcuFlavor> CitrusForest<u64, V, F> {
         seed: u64,
         key_range: u64,
         mode: ReclaimMode,
-        deferred: bool,
     ) -> Self {
         let n = n.max(1).next_power_of_two();
         match router {
-            RouterKind::Hash => Self::with_options(n, seed, mode, deferred),
+            RouterKind::Hash => Self::with_config(n, seed, mode),
             RouterKind::Range => {
-                Self::with_range_router_options(even_splitters(n, key_range), mode, deferred)
+                Self::with_range_router_options(even_splitters(n, key_range), mode)
             }
         }
     }
@@ -495,32 +493,6 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
     #[must_use]
     pub fn reclaim_mode(&self) -> ReclaimMode {
         self.shards[0].reclaim_mode()
-    }
-
-    /// Whether the shards defer two-child-delete unlinks to per-shard
-    /// `call_rcu` batches (identical across shards).
-    #[must_use]
-    pub fn deferred_free(&self) -> bool {
-        self.shards[0].deferred_free()
-    }
-
-    /// Runs every shard's pending deferred unlinks to completion (no-op
-    /// in inline mode). Shards flush independently: shard A's drain waits
-    /// only on A's private grace periods.
-    pub fn flush_deferred(&self) {
-        for shard in self.shards.iter() {
-            shard.flush_deferred();
-        }
-    }
-
-    /// Deferred unlinks enqueued by each shard (tree metrics; all zeros
-    /// with stats off).
-    #[must_use]
-    pub fn deferred_unlinks_per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|t| t.metrics().deferred_unlinks())
-            .collect()
     }
 
     /// Total removed nodes already freed across all shards:
@@ -1098,20 +1070,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use citrus_api::testkit;
     use citrus_rcu::GlobalLockRcu;
 
     type Forest = CitrusForest<u64, u64>;
 
-    /// A hash-routed forest of `n` shards whose two-child deletes defer
-    /// their unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
+    /// A hash-routed forest of `n` shards.
     fn hashed<F: RcuFlavor>(n: usize, seed: u64) -> CitrusForest<u64, u64, F> {
-        CitrusForest::with_options(n, seed, ReclaimMode::Epoch, testkit::deferred_free())
+        CitrusForest::with_config(n, seed, ReclaimMode::Epoch)
     }
 
     /// The range-routed counterpart of [`hashed`].
     fn ranged(splitters: Vec<u64>) -> Forest {
-        Forest::with_range_router_options(splitters, ReclaimMode::Epoch, testkit::deferred_free())
+        Forest::with_range_router_options(splitters, ReclaimMode::Epoch)
     }
 
     #[test]

@@ -75,7 +75,6 @@ mod tree;
 
 pub use checks::{InvariantViolation, TreeStats};
 pub use citrus_rcu::{GlobalLockRcu, RcuFlavor, ScalableRcu};
-pub use citrus_reclaim::{CallRcu, CallRcuConfig};
 pub use forest::{even_splitters, CitrusForest, ForestMetrics, ForestSession, RouterKind};
 pub use metrics::TreeMetrics;
 pub use tree::{CitrusSession, CitrusTree, ReclaimMode, SessionStats};
@@ -88,10 +87,8 @@ mod tests {
     type Tree = CitrusTree<u64, u64>;
     type TreeStd = CitrusTree<u64, u64, GlobalLockRcu>;
 
-    /// A tree in reclamation `mode` whose two-child deletes defer their
-    /// unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
     fn new_tree(mode: ReclaimMode) -> Tree {
-        Tree::with_options(ScalableRcu::new(), mode, testkit::deferred_free())
+        Tree::with_reclaim(mode)
     }
 
     fn all_modes() -> [ReclaimMode; 2] {
@@ -174,14 +171,11 @@ mod tests {
             s.insert(k, k * 100);
         }
         let sync_before = s.stats().synchronize_calls();
-        let defer_before = s.stats().deferred_unlinks();
         assert!(s.remove(&10));
-        // Inline mode pays one synchronize_rcu; deferred mode enqueues one
-        // unlink record instead (the lane picks the mode).
         assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            sync_before + defer_before + 1,
-            "two-child delete must synchronize inline or defer its unlink, exactly once"
+            s.stats().synchronize_calls(),
+            sync_before + 1,
+            "two-child delete must synchronize exactly once"
         );
         for k in [5, 20, 15, 12, 17] {
             assert_eq!(s.get(&k), Some(k * 100), "key {k} lost by successor move");
@@ -231,12 +225,7 @@ mod tests {
     fn sequential_model_all_modes_and_flavors() {
         for mode in all_modes() {
             testkit::check_sequential_model(&new_tree(mode), 6_000, 256, 0xACE1);
-            testkit::check_sequential_model(
-                &TreeStd::with_options(GlobalLockRcu::new(), mode, testkit::deferred_free()),
-                3_000,
-                128,
-                0xACE2,
-            );
+            testkit::check_sequential_model(&TreeStd::with_reclaim(mode), 3_000, 128, 0xACE2);
         }
     }
 
@@ -347,11 +336,7 @@ mod tests {
 
     #[test]
     fn works_with_string_keys_and_values() {
-        let tree: CitrusTree<String, String> = CitrusTree::with_options(
-            ScalableRcu::new(),
-            ReclaimMode::Epoch,
-            testkit::deferred_free(),
-        );
+        let tree: CitrusTree<String, String> = CitrusTree::new();
         let mut s = tree.session();
         assert!(s.insert("b".into(), "bee".into()));
         assert!(s.insert("a".into(), "ay".into()));

@@ -44,7 +44,6 @@ pub struct TreeMetrics {
     remove_retries: Counter,
     lock_acquisitions: Counter,
     synchronize_calls: Counter,
-    deferred_unlinks: Counter,
     scan_ops: Counter,
     scan_restarts: Counter,
     /// Round-robin stripe allocator for sessions (cold path: one
@@ -59,7 +58,6 @@ impl TreeMetrics {
             remove_retries: Counter::new(STRIPES),
             lock_acquisitions: Counter::new(STRIPES),
             synchronize_calls: Counter::new(STRIPES),
-            deferred_unlinks: Counter::new(STRIPES),
             scan_ops: Counter::new(STRIPES),
             scan_restarts: Counter::new(STRIPES),
             next_stripe: AtomicUsize::new(0),
@@ -93,13 +91,6 @@ impl TreeMetrics {
     #[inline]
     pub(crate) fn record_synchronize(&self, stripe: usize) {
         self.synchronize_calls.incr(stripe);
-    }
-
-    /// Records a two-child delete that deferred its unlink instead of
-    /// synchronizing inline (DESIGN.md §6g).
-    #[inline]
-    pub(crate) fn record_deferred_unlink(&self, stripe: usize) {
-        self.deferred_unlinks.incr(stripe);
     }
 
     /// Records one completed ordered read (`range_scan` / `successor` /
@@ -144,13 +135,6 @@ impl TreeMetrics {
         self.synchronize_calls.get()
     }
 
-    /// Total two-child deletes that deferred their unlink
-    /// (`0` with stats off).
-    #[must_use]
-    pub fn deferred_unlinks(&self) -> u64 {
-        self.deferred_unlinks.get()
-    }
-
     /// Total completed ordered reads (`range_scan` / `successor` /
     /// `predecessor`) across sessions (`0` with stats off).
     #[must_use]
@@ -171,7 +155,6 @@ impl TreeMetrics {
         registry.register_counter(component, "remove_retries", &self.remove_retries);
         registry.register_counter(component, "lock_acquisitions", &self.lock_acquisitions);
         registry.register_counter(component, "synchronize_calls", &self.synchronize_calls);
-        registry.register_counter(component, "deferred_unlinks", &self.deferred_unlinks);
         registry.register_counter(component, "scan_ops", &self.scan_ops);
         registry.register_counter(component, "scan_restarts", &self.scan_restarts);
     }

@@ -2,28 +2,18 @@
 //! behavior (`incrementTag`, Lemma 3), validation-retry accounting, and
 //! the exact retire/synchronize pattern of `delete`.
 
-mod common;
 use citrus::{CitrusTree, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::SplitMix64;
-use common::new_tree;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
 type Tree = CitrusTree<u64, u64, ScalableRcu>;
 
-/// A tree pinned to the paper's **inline** `synchronize_rcu` (line 74),
-/// regardless of the `CITRUS_DEFERRED_FREE` environment: the tests below
-/// assert line-74 accounting, which deferred mode deliberately changes
-/// (covered by `deferred_reclaim.rs` instead).
-fn inline_tree() -> Tree {
-    Tree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false)
-}
-
 /// One synchronize_rcu per two-child delete; none for leaf/one-child
 /// deletes or inserts (paper: line 74 is the only synchronize call).
 #[test]
 fn synchronize_only_on_two_child_deletes() {
-    let tree = inline_tree();
+    let tree = Tree::new();
     let mut s = tree.session();
 
     for k in [50, 25, 75, 12, 37, 62, 87] {
@@ -64,7 +54,7 @@ fn synchronize_only_on_two_child_deletes() {
 /// successful two-child deletes across all sessions.
 #[test]
 fn grace_periods_track_successor_moves() {
-    let tree = inline_tree();
+    let tree = Tree::new();
     let mut moves = 0;
     {
         let mut s = tree.session();
@@ -97,7 +87,7 @@ fn grace_periods_track_successor_moves() {
 /// and 84).
 #[test]
 fn contention_produces_validation_retries() {
-    let tree: Tree = new_tree(ReclaimMode::Epoch);
+    let tree: Tree = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let total_retries = AtomicU64::new(0);
     let barrier = Barrier::new(4);
     std::thread::scope(|scope| {
@@ -137,7 +127,7 @@ fn contention_produces_validation_retries() {
 /// must retry (observable: no lost updates, structure intact).
 #[test]
 fn tag_aba_hammer() {
-    let tree: Tree = new_tree(ReclaimMode::Epoch);
+    let tree: Tree = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         s.insert(100, 100); // anchor whose child slots flap
@@ -179,7 +169,7 @@ fn tag_aba_hammer() {
 #[test]
 fn degenerate_chains_work() {
     for descending in [false, true] {
-        let tree: Tree = new_tree(ReclaimMode::Epoch);
+        let tree: Tree = CitrusTree::with_reclaim(ReclaimMode::Epoch);
         let mut s = tree.session();
         let keys: Vec<u64> = if descending {
             (0..2_000).rev().collect()
@@ -206,7 +196,7 @@ fn degenerate_chains_work() {
 /// Session statistics are independent across sessions of the same tree.
 #[test]
 fn session_stats_are_per_session() {
-    let tree = inline_tree();
+    let tree = Tree::new();
     let mut a = tree.session();
     let mut b = tree.session();
     for k in [10, 5, 20, 15, 25] {

@@ -3,11 +3,9 @@
 //! inserts racing with deletes at the same node (Figure 5), and reader
 //! storms during update-heavy churn.
 
-mod common;
 use citrus::{CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::{self, stress_iters, SplitMix64};
 use citrus_rcu::RcuFlavor;
-use common::new_tree;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -21,7 +19,7 @@ use std::sync::Barrier;
 /// forcing a genuine successor relocation of the never-deleted `base+20`.
 fn successor_move_vs_search<F: RcuFlavor>(mode: ReclaimMode) {
     let rounds = stress_iters(300);
-    let tree: CitrusTree<u64, u64, F> = new_tree(mode);
+    let tree: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(mode);
     let published = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let false_negatives = AtomicU64::new(0);
@@ -82,23 +80,11 @@ fn successor_move_vs_search<F: RcuFlavor>(mode: ReclaimMode) {
         0,
         "a search missed a permanently present key (Figure 4 false negative)"
     );
-    if tree.deferred_free() {
-        // Deferred mode amortizes: one shared grace period covers a whole
-        // batch of unlinks, so count executed unlink records instead.
-        tree.flush_deferred();
-        let deferred = tree.deferred().expect("deferred domain present");
-        assert!(
-            deferred.executed() >= rounds,
-            "every round must have deferred a two-child unlink (got {} executed)",
-            deferred.executed()
-        );
-    } else {
-        assert!(
-            tree.rcu().grace_periods() >= rounds,
-            "every round must have executed a two-child delete (got {} grace periods)",
-            tree.rcu().grace_periods()
-        );
-    }
+    assert!(
+        tree.rcu().grace_periods() >= rounds,
+        "every round must have executed a two-child delete (got {} grace periods)",
+        tree.rcu().grace_periods()
+    );
     let mut tree = tree;
     tree.validate_structure().expect("structure after churn");
 }
@@ -127,7 +113,7 @@ fn successor_move_vs_search_global_lock() {
 /// marked validation must force a retry rather than losing the insert).
 fn insert_vs_parent_delete<F: RcuFlavor>(mode: ReclaimMode) {
     let rounds = stress_iters(300);
-    let tree: CitrusTree<u64, u64, F> = new_tree(mode);
+    let tree: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(mode);
     let barrier = Barrier::new(2);
 
     // Thread A repeatedly inserts/removes "parents" p; thread B inserts
@@ -191,7 +177,7 @@ fn waves_of_churn_with_structural_audits() {
     const RANGE: u64 = 512;
     let ops_per_wave = stress_iters(2_000) as usize;
 
-    let mut tree: CitrusTree<u64, u64> = new_tree(ReclaimMode::Epoch);
+    let mut tree: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     for wave in 0..WAVES {
         {
             let tree = &tree;
@@ -240,7 +226,7 @@ fn update_only_storm() {
     const RANGE: u64 = 128;
     let ops = stress_iters(3_000) as usize;
 
-    let tree: CitrusTree<u64, u64> = new_tree(ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for k in 0..RANGE {
@@ -278,7 +264,7 @@ fn session_churn_during_operations() {
     let _watchdog = testkit::stress_watchdog("session_churn_during_operations");
     const RANGE: u64 = 64;
     let batches = stress_iters(150);
-    let tree: CitrusTree<u64, u64> = new_tree(ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {

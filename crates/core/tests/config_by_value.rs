@@ -1,35 +1,41 @@
-//! Library constructors build from their arguments alone. The reclaim CI
-//! lane runs this file with `CITRUS_DEFERRED_FREE=1`: the knob must reach
-//! the trees tests build through `testkit::deferred_free`, and no
-//! constructor may read it (or any other variable) on its own.
+//! Library constructors build from their arguments alone: no constructor
+//! reads the environment, and the flag of the removed deferred-unlink
+//! mode is refused rather than ignored.
 
 use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
-use citrus_api::testkit;
+use std::panic::catch_unwind;
 
 #[test]
 fn constructors_ignore_the_environment() {
-    assert!(!CitrusTree::<u64, u64>::new().deferred_free());
-    assert!(
-        !CitrusTree::<u64, u64, GlobalLockRcu>::with_reclaim(ReclaimMode::Leak).deferred_free()
-    );
-    for forest in [
-        CitrusForest::<u64, u64>::new(),
-        CitrusForest::with_range_router(vec![10, 20]),
-    ] {
-        assert!((0..forest.shard_count()).all(|i| !forest.shard(i).deferred_free()));
-    }
     assert!(ScalableRcu::new().sharing());
     assert!(GlobalLockRcu::new().sharing());
 }
 
+/// `with_options` keeps its `deferred` parameter for existing callers
+/// only; `true` must panic for the tree and the forest alike.
 #[test]
-fn testkit_carries_the_lane_setting() {
-    let lane = std::env::var("CITRUS_DEFERRED_FREE").is_ok_and(|v| v.trim() == "1");
-    assert_eq!(testkit::deferred_free(), lane);
-    let tree: CitrusTree<u64, u64> = CitrusTree::with_options(
-        ScalableRcu::new(),
-        ReclaimMode::Epoch,
-        testkit::deferred_free(),
-    );
-    assert_eq!(tree.deferred_free(), lane);
+fn deferred_flag_panics() {
+    let tree = catch_unwind(|| {
+        CitrusTree::<u64, u64>::with_options(ScalableRcu::new(), ReclaimMode::Epoch, true)
+    });
+    let forest =
+        catch_unwind(|| CitrusForest::<u64, u64>::with_options(2, 0, ReclaimMode::Epoch, true));
+    for (what, result) in [("tree", tree.err()), ("forest", forest.err())] {
+        let payload = result.unwrap_or_else(|| panic!("{what}: deferred = true was accepted"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("deferred-unlink mode was removed"),
+            "{what}: {msg}"
+        );
+    }
+    // `false` still builds.
+    let tree: CitrusTree<u64, u64> =
+        CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+    assert_eq!(tree.reclaim_mode(), ReclaimMode::Epoch);
+    let forest: CitrusForest<u64, u64> = CitrusForest::with_options(2, 0, ReclaimMode::Leak, false);
+    assert_eq!(forest.shard_count(), 2);
 }

@@ -10,8 +10,7 @@
 //! plus full structural validation.
 //!
 //! The mutant tests prove the harness has teeth: with the grace period
-//! deliberately skipped (`citrus/remove/skip-synchronize` for the inline
-//! path, `reclaim/flush/skip-synchronize` for the deferred path), the
+//! deliberately skipped (`citrus/remove/skip-synchronize`), the
 //! explorer must find a reader that misses a key that was never absent —
 //! and the failing schedule it reports, replayed verbatim, must fail
 //! again (and pass once the mutant is disabled).
@@ -21,15 +20,30 @@
 
 #![cfg(feature = "chaos")]
 
-use citrus::{CallRcuConfig, CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
+use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
     enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
     Explorer, ScenarioOp, ScheduleScenario,
 };
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
+
+/// Mutants are process-wide switches and the harness runs this file's
+/// tests on parallel threads, so a clean sweep overlapping a sibling's
+/// mutant would explore the mutated code. Every test holds this lock:
+/// sweeps share it, tests that enable a mutant hold it exclusively.
+static MUTANTS: RwLock<()> = RwLock::new(());
+
+fn sweep_lock() -> RwLockReadGuard<'static, ()> {
+    MUTANTS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn mutant_lock() -> RwLockWriteGuard<'static, ()> {
+    MUTANTS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Pinned minimal schedule (harvested from the mutant sweep) driving the
 /// reader past the victim before the splice and back through the
@@ -37,28 +51,8 @@ type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
 /// `synchronize_rcu` exists to close.
 const PINNED_INLINE_DELETE_SCHEDULE: &str = "1110";
 
-/// Pinned minimal schedule for the same window with the unlink deferred
-/// through a `call_rcu` batch flushed inline by the deleting thread.
-const PINNED_DEFERRED_FLUSH_SCHEDULE: &str = "1110";
-
 fn make_inline() -> Tree {
-    Tree::with_options(GlobalLockRcu::new(), ReclaimMode::Leak, false)
-}
-
-/// Deferred unlinking tuned for deterministic schedules: every enqueue
-/// flushes inline on the enqueuing (scheduled) thread and the straggler
-/// worker never wakes, so the whole flush runs under the scheduler.
-fn make_deferred() -> Tree {
-    Tree::with_deferred_config(
-        GlobalLockRcu::new(),
-        ReclaimMode::Leak,
-        Some(CallRcuConfig {
-            batch_threshold: 1,
-            worker_interval: Duration::from_secs(3600),
-            wake_on_first: false,
-            eager_flush: true,
-        }),
-    )
+    Tree::with_reclaim(ReclaimMode::Leak)
 }
 
 fn validate(tree: &mut Tree) -> Result<(), String> {
@@ -87,6 +81,7 @@ fn bounded(max_preemptions: usize) -> ExploreConfig {
 #[test]
 fn inline_delete_window_sweep_is_clean() {
     let _wd = stress_watchdog("inline_delete_window_sweep_is_clean");
+    let _mutants = sweep_lock();
     let scenario = delete_window_scenario("inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -114,30 +109,6 @@ fn inline_delete_window_sweep_is_clean() {
     }
 }
 
-#[test]
-fn deferred_unlink_window_sweep_is_clean() {
-    let _wd = stress_watchdog("deferred_unlink_window_sweep_is_clean");
-    let scenario = delete_window_scenario("deferred-unlink-flush");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    report.assert_clean(scenario.name);
-    if !report.completed {
-        return;
-    }
-    for point in [
-        "citrus/remove/defer-unlink",
-        "reclaim/defer/enqueue",
-        "reclaim/flush/before-synchronize",
-        "reclaim/flush/after-synchronize",
-        "citrus/deferred-unlink/run",
-    ] {
-        assert!(
-            report.points_hit.contains(point),
-            "sweep never reached {point}; hit: {:?}",
-            report.points_hit
-        );
-    }
-}
-
 /// The acceptance gate for "exhaustive": for a fixed scenario and bound
 /// the number of distinct schedules is a deterministic property of the
 /// failpoint graph. A drift means yield points appeared or vanished —
@@ -147,6 +118,7 @@ fn deferred_unlink_window_sweep_is_clean() {
 #[test]
 fn explored_schedule_count_is_stable() {
     let _wd = stress_watchdog("explored_schedule_count_is_stable");
+    let _mutants = sweep_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-count");
     let first = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
     first.assert_clean(scenario.name);
@@ -167,6 +139,7 @@ fn explored_schedule_count_is_stable() {
 #[test]
 fn inline_delete_skip_synchronize_mutant_is_caught() {
     let _wd = stress_watchdog("inline_delete_skip_synchronize_mutant_is_caught");
+    let _mutants = mutant_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-mutant");
     let guard = enable_mutant("citrus/remove/skip-synchronize");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
@@ -200,28 +173,6 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
     );
 }
 
-#[test]
-fn deferred_flush_skip_synchronize_mutant_is_caught() {
-    let _wd = stress_watchdog("deferred_flush_skip_synchronize_mutant_is_caught");
-    let scenario = delete_window_scenario("deferred-unlink-flush-mutant");
-    let guard = enable_mutant("reclaim/flush/skip-synchronize");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    let failure = report
-        .failure
-        .expect("skipping the flush-path synchronize_rcu must be caught");
-    eprintln!("[mutant] deferred flush minimal schedule: {failure}");
-    assert_eq!(failure.preemptions, 1);
-    let rerun = replay_schedule_with(make_deferred, &scenario, &failure.schedule, validate);
-    assert!(rerun.verdict.is_err() || !rerun.outcome.clean());
-    drop(guard);
-    let fixed = replay_schedule_with(make_deferred, &scenario, &failure.schedule, validate);
-    assert!(
-        fixed.outcome.clean() && fixed.verdict.is_ok(),
-        "the minimal schedule must pass once the flush grace period is restored: {:?}",
-        fixed.verdict
-    );
-}
-
 /// Satellite pinned regression: the minimal inline-delete schedule the
 /// mutant sweep discovered, replayed forever against the real code. The
 /// mutant leg keeps the pin honest — if instrumentation drift makes the
@@ -231,6 +182,7 @@ fn deferred_flush_skip_synchronize_mutant_is_caught() {
 #[test]
 fn pinned_inline_delete_schedule_regression() {
     let _wd = stress_watchdog("pinned_inline_delete_schedule_regression");
+    let _mutants = mutant_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-pinned");
     let run = replay_schedule_with(
         make_inline,
@@ -258,38 +210,6 @@ fn pinned_inline_delete_schedule_regression() {
     );
 }
 
-/// Satellite pinned regression for the deferred-unlink flush window; same
-/// honesty protocol as the inline pin.
-#[test]
-fn pinned_deferred_flush_schedule_regression() {
-    let _wd = stress_watchdog("pinned_deferred_flush_schedule_regression");
-    let scenario = delete_window_scenario("deferred-unlink-flush-pinned");
-    let run = replay_schedule_with(
-        make_deferred,
-        &scenario,
-        PINNED_DEFERRED_FLUSH_SCHEDULE,
-        validate,
-    );
-    assert!(
-        run.outcome.clean() && run.verdict.is_ok(),
-        "pinned schedule regressed: {:?} / {:?}",
-        run.outcome.failure_reason(),
-        run.verdict
-    );
-    let guard = enable_mutant("reclaim/flush/skip-synchronize");
-    let mutant = replay_schedule_with(
-        make_deferred,
-        &scenario,
-        PINNED_DEFERRED_FLUSH_SCHEDULE,
-        validate,
-    );
-    drop(guard);
-    assert!(
-        mutant.verdict.is_err() || !mutant.outcome.clean(),
-        "pinned schedule no longer exercises the flush window — re-harvest it"
-    );
-}
-
 // ---- Ordered reads: validated traversal windows (DESIGN.md §6i) -------
 
 /// remove(20) takes the two-child path while a full-range scan runs: the
@@ -307,6 +227,7 @@ fn scan_window_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn scan_vs_inline_two_child_delete_sweep_is_clean() {
     let _wd = stress_watchdog("scan_vs_inline_two_child_delete_sweep_is_clean");
+    let _mutants = sweep_lock();
     let scenario = scan_window_scenario("scan-vs-inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -319,24 +240,6 @@ fn scan_vs_inline_two_child_delete_sweep_is_clean() {
         "citrus/scan/validate",
         "citrus/remove/before-synchronize",
     ] {
-        assert!(
-            report.points_hit.contains(point),
-            "sweep never reached {point}; hit: {:?}",
-            report.points_hit
-        );
-    }
-}
-
-#[test]
-fn scan_vs_deferred_flush_sweep_is_clean() {
-    let _wd = stress_watchdog("scan_vs_deferred_flush_sweep_is_clean");
-    let scenario = scan_window_scenario("scan-vs-deferred-flush");
-    let report = explore_schedules_with(make_deferred, &scenario, bounded(2), validate);
-    report.assert_clean(scenario.name);
-    if !report.completed {
-        return;
-    }
-    for point in ["citrus/scan/step", "citrus/remove/defer-unlink"] {
         assert!(
             report.points_hit.contains(point),
             "sweep never reached {point}; hit: {:?}",
@@ -364,6 +267,7 @@ fn torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn scan_skip_validation_mutant_is_caught() {
     let _wd = stress_watchdog("scan_skip_validation_mutant_is_caught");
+    let _mutants = mutant_lock();
     let scenario = torn_scan_scenario("torn-scan-mutant");
     let guard = enable_mutant("citrus/scan/skip-validation");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
@@ -400,6 +304,7 @@ fn scan_skip_validation_mutant_is_caught() {
 #[test]
 fn torn_scan_sweep_is_clean_with_validation() {
     let _wd = stress_watchdog("torn_scan_sweep_is_clean_with_validation");
+    let _mutants = sweep_lock();
     let scenario = torn_scan_scenario("torn-scan-validated");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -410,7 +315,7 @@ fn torn_scan_sweep_is_clean_with_validation() {
 /// A 2-shard range forest with its splitter at 16: keys below 16 live in
 /// shard 0, the rest in shard 1.
 fn make_range_forest() -> Forest {
-    Forest::with_range_router_options(vec![16], ReclaimMode::Leak, false)
+    Forest::with_range_router_options(vec![16], ReclaimMode::Leak)
 }
 
 fn validate_forest(forest: &mut Forest) -> Result<(), String> {
@@ -436,6 +341,7 @@ fn range_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn range_forest_scan_window_sweep_is_clean() {
     let _wd = stress_watchdog("range_forest_scan_window_sweep_is_clean");
+    let _mutants = sweep_lock();
     let scenario = range_forest_scan_scenario("range-forest-scan-vs-two-child-delete");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -473,6 +379,7 @@ fn range_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn range_forest_scan_skip_validation_mutant_is_caught() {
     let _wd = stress_watchdog("range_forest_scan_skip_validation_mutant_is_caught");
+    let _mutants = mutant_lock();
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-mutant");
     let guard = enable_mutant("citrus/scan/skip-validation");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
@@ -519,6 +426,7 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
 #[test]
 fn range_forest_torn_scan_sweep_is_clean_with_validation() {
     let _wd = stress_watchdog("range_forest_torn_scan_sweep_is_clean_with_validation");
+    let _mutants = sweep_lock();
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-validated");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -551,6 +459,7 @@ fn keys_in_distinct_shards() -> (u64, u64) {
 #[test]
 fn forest_cross_shard_sweep_is_clean() {
     let _wd = stress_watchdog("forest_cross_shard_sweep_is_clean");
+    let _mutants = sweep_lock();
     let (a, b) = keys_in_distinct_shards();
     let scenario = ScheduleScenario::new("forest-cross-shard")
         .prefill(&[(a, 1)])
@@ -575,6 +484,7 @@ fn forest_cross_shard_sweep_is_clean() {
 #[test]
 fn explore_budget_marks_sweep_incomplete() {
     let _wd = stress_watchdog("explore_budget_marks_sweep_incomplete");
+    let _mutants = sweep_lock();
     let config = ExploreConfig {
         max_preemptions: 2,
         budget: Some(Duration::from_millis(0)),

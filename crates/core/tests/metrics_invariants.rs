@@ -5,17 +5,15 @@
 //! With the `stats` feature off the snapshot is empty and every check
 //! passes vacuously, so this file compiles and runs in both modes.
 
-mod common;
 use citrus::{CitrusTree, GlobalLockRcu, RcuFlavor, ReclaimMode, ScalableRcu};
 use citrus_api::testkit::{check_counter_dominates, SplitMix64};
 use citrus_obs::MetricsRegistry;
-use common::new_tree;
 use std::sync::Barrier;
 
 /// Runs a randomized single-threaded workload and returns the tree's
 /// metrics snapshot.
 fn churn_and_snapshot<F: RcuFlavor>(seed: u64) -> citrus_obs::MetricsSnapshot {
-    let tree: CitrusTree<u64, u64, F> = new_tree(ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     let mut rng = SplitMix64::new(seed);
     for k in 0..512u64 {
@@ -47,12 +45,9 @@ fn grace_periods_cover_two_child_deletes_scalable() {
         (ScalableRcu::NAME, "synchronize_calls"),
         ("citrus", "synchronize_calls"),
     );
-    // The workload is churny enough that two-child deletes must occur —
-    // counted inline (synchronize_calls) or deferred (deferred_unlinks),
-    // depending on CITRUS_DEFERRED_FREE.
+    // The workload is churny enough that two-child deletes must occur.
     if !snap.is_empty() {
-        let two_child = snap.counter("citrus", "synchronize_calls").unwrap()
-            + snap.counter("citrus", "deferred_unlinks").unwrap();
+        let two_child = snap.counter("citrus", "synchronize_calls").unwrap();
         assert!(two_child > 0, "workload produced no two-child deletes");
     }
 }
@@ -90,7 +85,7 @@ fn lock_acquisitions_dominate_retries() {
 #[test]
 fn invariant_holds_under_concurrency() {
     const THREADS: u64 = 4;
-    let tree: CitrusTree<u64, u64, ScalableRcu> = new_tree(ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, u64, ScalableRcu> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for k in 0..1024u64 {

@@ -5,16 +5,14 @@
 //! top-level `linearizability.rs` scan battery and the explore-window
 //! suite; this file pins the single-threaded semantics and accounting.
 
-mod common;
 use citrus::{CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
-use common::new_tree;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 
 fn populated() -> Tree {
-    let tree: Tree = new_tree(ReclaimMode::Epoch);
+    let tree: Tree = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     for k in [50u64, 25, 75, 12, 37, 62, 87] {
         s.insert(k, k * 10);
@@ -47,7 +45,7 @@ fn degenerate_ranges_are_empty_not_errors() {
     assert!(s.range_scan(&90, &10).is_empty(), "inverted bounds");
     assert_eq!(s.range_scan(&50, &50), vec![(50, 500)], "point range");
 
-    let empty: Tree = new_tree(ReclaimMode::Epoch);
+    let empty: Tree = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut e = empty.session();
     assert!(e.range_scan(&0, &u64::MAX).is_empty(), "empty tree");
     assert_eq!(e.successor(&0), None);
@@ -74,8 +72,7 @@ fn successor_and_predecessor_are_strict_and_sentinel_safe() {
 
 #[test]
 fn sequential_scans_never_restart_and_are_counted() {
-    let tree: CitrusTree<u64, u64, ScalableRcu> =
-        CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, false);
+    let tree: CitrusTree<u64, u64, ScalableRcu> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     for k in 0..64u64 {
         s.insert(k, k);
@@ -117,7 +114,8 @@ impl Clone for CloneCounter {
 #[test]
 fn contains_never_clones_the_value() {
     let clones = Arc::new(AtomicUsize::new(0));
-    let tree: CitrusTree<u64, CloneCounter, GlobalLockRcu> = new_tree(ReclaimMode::Epoch);
+    let tree: CitrusTree<u64, CloneCounter, GlobalLockRcu> =
+        CitrusTree::with_reclaim(ReclaimMode::Epoch);
     let mut s = tree.session();
     s.insert(7, CloneCounter(Arc::clone(&clones)));
     let baseline = clones.load(Ordering::Relaxed);

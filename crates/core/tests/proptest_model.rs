@@ -1,10 +1,8 @@
 //! Property-based tests: arbitrary operation sequences against a
 //! `BTreeMap` model, for both RCU flavors and both reclamation modes.
 
-mod common;
 use citrus::{CitrusTree, GlobalLockRcu, ReclaimMode, ScalableRcu};
 use citrus_rcu::RcuFlavor;
-use common::new_tree;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,7 +25,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Applies `ops` to a fresh tree and to a model, asserting every return
 /// value matches, then audits the final state and structure.
 fn run_against_model<F: RcuFlavor>(mode: ReclaimMode, ops: &[Op]) -> Result<(), TestCaseError> {
-    let tree: CitrusTree<u8, u16, F> = new_tree(mode);
+    let tree: CitrusTree<u8, u16, F> = CitrusTree::with_reclaim(mode);
     let mut model: BTreeMap<u8, u16> = BTreeMap::new();
     {
         let mut s = tree.session();
@@ -82,7 +80,7 @@ proptest! {
 
     #[test]
     fn insert_all_then_remove_all(mut keys in prop::collection::btree_set(any::<u8>(), 1..=64)) {
-        let tree: CitrusTree<u8, u16> = new_tree(ReclaimMode::Epoch);
+        let tree: CitrusTree<u8, u16> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
         let mut s = tree.session();
         for &k in &keys {
             prop_assert!(s.insert(k, u16::from(k)));
@@ -105,7 +103,7 @@ proptest! {
     fn values_never_cross_keys(ops in prop::collection::vec(op_strategy(), 1..300)) {
         // Value integrity: a get(k) may only ever return a value that was
         // inserted under k.
-        let tree: CitrusTree<u8, u16> = new_tree(ReclaimMode::Epoch);
+        let tree: CitrusTree<u8, u16> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
         let mut inserted: BTreeMap<u8, Vec<u16>> = BTreeMap::new();
         let mut s = tree.session();
         for op in &ops {

@@ -4,9 +4,7 @@
 //! held, or corrupt the structure. These tests run with default features —
 //! unwind safety is an RAII property, not a chaos-mode one.
 
-mod common;
 use citrus::{CitrusTree, ReclaimMode};
-use common::new_tree;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -90,7 +88,7 @@ impl Ord for PanickyKey {
 #[test]
 fn panic_under_node_locks_releases_them() {
     let armed = Arc::new(AtomicBool::new(false));
-    let mut tree: CitrusTree<u64, Bomb> = new_tree(ReclaimMode::Epoch);
+    let mut tree: CitrusTree<u64, Bomb> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for key in [50u64, 25, 75, 60, 85] {
@@ -122,12 +120,8 @@ fn panic_under_node_locks_releases_them() {
         // recovery — the grace-period machinery must be intact too.
         assert!(s.insert(70, Bomb::new(70, &armed)));
         assert!(s.remove(&75), "delete of a two-child node must complete");
-        // Two two-child deletes: inline mode synchronizes each, deferred
-        // mode enqueues each (CITRUS_DEFERRED_FREE picks the mode).
-        assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            2
-        );
+        // Two two-child deletes, one synchronize_rcu each.
+        assert_eq!(s.stats().synchronize_calls(), 2);
     }
     let stats = tree
         .validate_structure()
@@ -141,7 +135,7 @@ fn panic_under_node_locks_releases_them() {
 #[test]
 fn panic_inside_read_section_does_not_block_synchronize() {
     let armed = Arc::new(AtomicBool::new(false));
-    let mut tree: CitrusTree<PanickyKey, u64> = new_tree(ReclaimMode::Epoch);
+    let mut tree: CitrusTree<PanickyKey, u64> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
     {
         let mut s = tree.session();
         for id in [50u64, 25, 75, 60, 85] {
@@ -158,10 +152,7 @@ fn panic_inside_read_section_does_not_block_synchronize() {
         // Synchronize runs on this same session's RCU handle; a leaked
         // read section on it would self-deadlock (debug) or wedge.
         assert!(s.remove(&PanickyKey::new(50, &armed)));
-        assert_eq!(
-            s.stats().synchronize_calls() + s.stats().deferred_unlinks(),
-            1
-        );
+        assert_eq!(s.stats().synchronize_calls(), 1);
     }
 
     // Uncaught in a worker thread: the thread dies mid-read-section; its

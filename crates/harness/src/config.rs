@@ -24,7 +24,6 @@ use std::time::Duration;
 /// | `CITRUS_RANGE_LARGE` | large key range | 200000 | 2000000 |
 /// | `CITRUS_SHARDS` | comma-separated forest shard counts | `1,2,4,8` | — |
 /// | `CITRUS_METRICS` | attach internal-metrics sections to reports (`1`/`true`/`yes`) | unset | — |
-/// | `CITRUS_DEFERRED_FREE` | defer two-child-delete unlinks to `call_rcu` batches (`1`/`true`/`yes`) in the figure and forest series; the forest sweep A/Bs both modes regardless | unset | — |
 /// | `CITRUS_ROUTER` | forest routing policy (`hash`/`range`) of the figure series' forests; the forest sweep A/Bs both routers regardless | `hash` | — |
 /// | `CITRUS_KEY_DIST` | key distribution for timed workload draws (`uniform`/`zipf:<theta>`); prefill stays uniform | `uniform` | — |
 ///
@@ -52,10 +51,6 @@ pub struct BenchConfig {
     /// Collect internal metrics (RCU, reclamation, tree counters) during
     /// the highest-thread-count point of each figure panel.
     pub collect_metrics: bool,
-    /// Whether Citrus trees and forests defer two-child-delete unlinks to
-    /// `call_rcu` batches (the forest sweep's deferred axis A/Bs both
-    /// regardless).
-    pub deferred_free: bool,
     /// Forest routing policy of the figure series (the forest sweep's
     /// router axis A/Bs both regardless).
     pub router: RouterKind,
@@ -131,7 +126,6 @@ impl BenchConfig {
             range_large: knob(vars, "CITRUS_RANGE_LARGE", d_large, parse_u64_knob),
             shards: knob(vars, "CITRUS_SHARDS", "1,2,4,8", parse_count_list),
             collect_metrics: knob(vars, "CITRUS_METRICS", "", parse_bool_knob),
-            deferred_free: knob(vars, "CITRUS_DEFERRED_FREE", "", parse_bool_knob),
             router: knob(vars, "CITRUS_ROUTER", "", RouterKind::parse),
             key_dist: knob(vars, "CITRUS_KEY_DIST", "", KeyDist::parse),
         }
@@ -147,7 +141,6 @@ impl BenchConfig {
             range_large: 2_048,
             shards: vec![1, 2],
             collect_metrics: false,
-            deferred_free: false,
             router: RouterKind::Hash,
             key_dist: KeyDist::Uniform,
         }
@@ -203,14 +196,10 @@ mod tests {
         let off = ["", "0", "false", "no"].map(|raw| (raw, false));
         let on = ["1", "true", " yes "].map(|raw| (raw, true));
         for (raw, on) in off.into_iter().chain(on) {
-            let c = config_from(&[
-                ("CITRUS_PAPER", raw),
-                ("CITRUS_METRICS", raw),
-                ("CITRUS_DEFERRED_FREE", raw),
-            ]);
+            let c = config_from(&[("CITRUS_PAPER", raw), ("CITRUS_METRICS", raw)]);
             let paper = c.duration == Duration::from_millis(5_000);
-            let got = (paper, c.collect_metrics, c.deferred_free);
-            assert_eq!(got, (on, on, on), "{raw:?}");
+            let got = (paper, c.collect_metrics);
+            assert_eq!(got, (on, on), "{raw:?}");
         }
     }
 

@@ -57,7 +57,6 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
                 let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                 run_algo_observed(
                     algo,
-                    cfg.deferred_free,
                     &spec,
                     cfg.reps,
                     0x816,
@@ -86,7 +85,6 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
             run_forest_observed::<ScalableRcu>(
                 forest_shards,
                 ReclaimMode::Leak,
-                cfg.deferred_free,
                 cfg.router,
                 &spec,
                 cfg.reps,
@@ -105,7 +103,7 @@ pub fn fig8(cfg: &BenchConfig) -> Report {
 }
 
 /// One cell of the [`forest_sweep`] grid: one `(flavor, shard count,
-/// operation mix, reclamation mode)` combination at the configured
+/// operation mix, router)` combination at the configured
 /// maximum thread count.
 #[derive(Debug, Clone)]
 pub struct ForestCell {
@@ -119,9 +117,6 @@ pub struct ForestCell {
     pub contains_pct: u32,
     /// Worker thread count.
     pub threads: usize,
-    /// Whether two-child deletes deferred their unlink (`call_rcu`
-    /// batches) instead of synchronizing inline.
-    pub deferred: bool,
     /// Key distribution label for the timed draws (`KeyDist::label`).
     pub key_dist: String,
     /// The timed run's result, including per-shard counters.
@@ -130,11 +125,10 @@ pub struct ForestCell {
 
 /// The forest shard sweep: `shards ∈ cfg.shards × update ratio
 /// {50%, 100%} × router {hash, range} × RCU flavor {scalable,
-/// global-lock} × unlink mode {inline, deferred}`, all at the configured
-/// maximum thread count — the experiment behind `BENCH_forest.json`,
-/// quantifying the speedup from per-shard grace-period domains, from
-/// taking the grace-period wait off the delete path, and establishing
-/// that point-op throughput is router-agnostic under uniform keys.
+/// global-lock}`, all at the configured maximum thread count — the
+/// experiment behind `BENCH_forest.json`, quantifying the speedup from
+/// per-shard grace-period domains and establishing that point-op
+/// throughput is router-agnostic under uniform keys.
 pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
     let threads = cfg.threads.iter().copied().max().unwrap_or(1);
     let mut cells = Vec::new();
@@ -146,45 +140,40 @@ pub fn forest_sweep(cfg: &BenchConfig) -> Vec<ForestCell> {
                 .with_key_dist(cfg.key_dist);
             for router in [RouterKind::Hash, RouterKind::Range] {
                 for flavor in [ScalableRcu::NAME, GlobalLockRcu::NAME] {
-                    for deferred in [false, true] {
-                        // Leak mode, matching the paper's no-reclamation
-                        // methodology (and the fig8 tree series), so the
-                        // sweep isolates grace-period effects from
-                        // reclamation cost.
-                        let run = if flavor == ScalableRcu::NAME {
-                            run_forest_observed::<ScalableRcu>(
-                                shards,
-                                ReclaimMode::Leak,
-                                deferred,
-                                router,
-                                &spec,
-                                cfg.reps,
-                                0xF04E,
-                                None,
-                            )
-                        } else {
-                            run_forest_observed::<GlobalLockRcu>(
-                                shards,
-                                ReclaimMode::Leak,
-                                deferred,
-                                router,
-                                &spec,
-                                cfg.reps,
-                                0xF04E,
-                                None,
-                            )
-                        };
-                        cells.push(ForestCell {
-                            flavor,
-                            router: router.as_str(),
+                    // Leak mode, matching the paper's no-reclamation
+                    // methodology (and the fig8 tree series), so the
+                    // sweep isolates grace-period effects from
+                    // reclamation cost.
+                    let run = if flavor == ScalableRcu::NAME {
+                        run_forest_observed::<ScalableRcu>(
                             shards,
-                            contains_pct,
-                            threads,
-                            deferred,
-                            key_dist: cfg.key_dist.label(),
-                            run,
-                        });
-                    }
+                            ReclaimMode::Leak,
+                            router,
+                            &spec,
+                            cfg.reps,
+                            0xF04E,
+                            None,
+                        )
+                    } else {
+                        run_forest_observed::<GlobalLockRcu>(
+                            shards,
+                            ReclaimMode::Leak,
+                            router,
+                            &spec,
+                            cfg.reps,
+                            0xF04E,
+                            None,
+                        )
+                    };
+                    cells.push(ForestCell {
+                        flavor,
+                        router: router.as_str(),
+                        shards,
+                        contains_pct,
+                        threads,
+                        key_dist: cfg.key_dist.label(),
+                        run,
+                    });
                 }
             }
         }
@@ -283,14 +272,8 @@ fn run_forest_scans<F: RcuFlavor>(
     use std::sync::Barrier;
 
     let key_range = cfg.range_small;
-    let forest: CitrusForest<u64, u64, F> = CitrusForest::with_router(
-        router,
-        shards,
-        0xF04E,
-        key_range,
-        ReclaimMode::Leak,
-        cfg.deferred_free,
-    );
+    let forest: CitrusForest<u64, u64, F> =
+        CitrusForest::with_router(router, shards, 0xF04E, key_range, ReclaimMode::Leak);
     {
         let mut s = forest.session();
         let mut rng = SplitMix64::new(0x5CA4);
@@ -393,7 +376,6 @@ pub fn forest_skew_sweep(cfg: &BenchConfig) -> Vec<ForestSkewCell> {
             let run = run_forest_observed::<ScalableRcu>(
                 shards,
                 ReclaimMode::Leak,
-                false,
                 router,
                 &spec,
                 cfg.reps,
@@ -436,7 +418,6 @@ pub fn fig9(cfg: &BenchConfig) -> Vec<Report> {
                         let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                         run_algo_observed(
                             algo,
-                            cfg.deferred_free,
                             &spec,
                             cfg.reps,
                             0x916,
@@ -479,7 +460,6 @@ pub fn fig10(cfg: &BenchConfig) -> Vec<Report> {
                         let observer = observer_for(registry.as_ref(), algo, t, observe_at);
                         run_algo_observed(
                             algo,
-                            cfg.deferred_free,
                             &spec,
                             cfg.reps,
                             0x1016,
@@ -516,8 +496,8 @@ mod tests {
         let cells = forest_sweep(&cfg);
         assert_eq!(
             cells.len(),
-            32,
-            "2 mixes × 2 shard counts × 2 routers × 2 flavors × 2 unlink modes"
+            16,
+            "2 mixes × 2 shard counts × 2 routers × 2 flavors"
         );
         for cell in &cells {
             assert!(cell.run.ops_per_s > 0.0);
@@ -525,8 +505,7 @@ mod tests {
             assert_eq!(cell.threads, 2);
             assert_eq!(cell.key_dist, "uniform");
         }
-        assert_eq!(cells.iter().filter(|c| c.deferred).count(), 16);
-        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 16);
+        assert_eq!(cells.iter().filter(|c| c.router == "range").count(), 8);
     }
 
     #[test]

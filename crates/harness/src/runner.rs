@@ -289,11 +289,9 @@ pub fn run_recorded<M: ConcurrentMap<u64, u64>>(
 }
 
 /// Builds the structure for `algo` and runs the workload on it, averaging
-/// `reps` repetitions (the paper averages five). `deferred` picks whether
-/// Citrus trees defer their two-child-delete unlinks to `call_rcu`
-/// batches; the baselines ignore it.
-pub fn run_algo(algo: Algo, deferred: bool, spec: &WorkloadSpec, reps: usize, seed: u64) -> f64 {
-    run_algo_observed(algo, deferred, spec, reps, seed, None)
+/// `reps` repetitions (the paper averages five).
+pub fn run_algo(algo: Algo, spec: &WorkloadSpec, reps: usize, seed: u64) -> f64 {
+    run_algo_observed(algo, spec, reps, seed, None)
 }
 
 /// Like [`run_algo`], but when `observer` is `Some((registry, prefix))`
@@ -306,7 +304,6 @@ pub fn run_algo(algo: Algo, deferred: bool, spec: &WorkloadSpec, reps: usize, se
 /// ignore the observer.
 pub fn run_algo_observed(
     algo: Algo,
-    deferred: bool,
     spec: &WorkloadSpec,
     reps: usize,
     seed: u64,
@@ -321,7 +318,7 @@ pub fn run_algo_observed(
         let r = match algo {
             Algo::Citrus => {
                 let map: CitrusTree<u64, u64, ScalableRcu> =
-                    CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Leak, deferred);
+                    CitrusTree::with_reclaim(ReclaimMode::Leak);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -329,7 +326,7 @@ pub fn run_algo_observed(
             }
             Algo::CitrusStdRcu => {
                 let map: CitrusTree<u64, u64, GlobalLockRcu> =
-                    CitrusTree::with_options(GlobalLockRcu::new(), ReclaimMode::Leak, deferred);
+                    CitrusTree::with_reclaim(ReclaimMode::Leak);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -337,7 +334,7 @@ pub fn run_algo_observed(
             }
             Algo::CitrusEbr => {
                 let map: CitrusTree<u64, u64, ScalableRcu> =
-                    CitrusTree::with_options(ScalableRcu::new(), ReclaimMode::Epoch, deferred);
+                    CitrusTree::with_reclaim(ReclaimMode::Epoch);
                 if let Some((registry, prefix)) = observe {
                     map.register_metrics_prefixed(registry, prefix);
                 }
@@ -389,17 +386,13 @@ pub struct ForestRun {
 /// Like [`run_algo_observed`] for a [`CitrusForest`] over flavor `F`:
 /// builds a fresh forest with `shards` shards per repetition, runs the
 /// workload, and reports mean throughput plus the last repetition's
-/// per-shard counters. `deferred` pins whether two-child deletes defer
-/// their unlink to per-shard `call_rcu` batches or synchronize inline
-/// (the A/B axis of the deferred-free sweep); `router` picks the routing
+/// per-shard counters. `router` picks the routing
 /// policy (range routing splits the spec's key range evenly). The last
 /// repetition registers its metrics into `observer` (with per-shard
 /// component labels) when given.
-#[allow(clippy::too_many_arguments)]
 pub fn run_forest_observed<F: RcuFlavor>(
     shards: usize,
     mode: ReclaimMode,
-    deferred: bool,
     router: RouterKind,
     spec: &WorkloadSpec,
     reps: usize,
@@ -414,7 +407,7 @@ pub fn run_forest_observed<F: RcuFlavor>(
         // Fresh structure per repetition, as in the paper. Sharding seed 0
         // keeps routing identical across flavors and repetitions.
         let forest: CitrusForest<u64, u64, F> =
-            CitrusForest::with_router(router, shards, 0, spec.key_range, mode, deferred);
+            CitrusForest::with_router(router, shards, 0, spec.key_range, mode);
         if rep + 1 == reps {
             if let Some((registry, prefix)) = observer {
                 forest.register_metrics_prefixed(registry, prefix);
@@ -483,7 +476,7 @@ mod tests {
     fn single_writer_mode_runs_every_algo() {
         for algo in Algo::FIGURE_SET {
             let spec = WorkloadSpec::single_writer(200, 2, Duration::from_millis(20));
-            let tp = run_algo(algo, false, &spec, 1, 11);
+            let tp = run_algo(algo, &spec, 1, 11);
             assert!(tp > 0.0, "{algo} produced no throughput");
         }
     }
@@ -600,28 +593,25 @@ mod tests {
     #[test]
     fn forest_run_reports_per_shard_counters() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 2, Duration::from_millis(30));
-        for deferred in [false, true] {
-            for router in [RouterKind::Hash, RouterKind::Range] {
-                let r = run_forest_observed::<ScalableRcu>(
-                    4,
-                    ReclaimMode::Epoch,
-                    deferred,
-                    router,
-                    &spec,
-                    1,
-                    17,
-                    None,
-                );
-                assert!(r.ops_per_s > 0.0);
-                assert_eq!(r.sync_calls_per_shard.len(), 4);
-                assert_eq!(r.grace_periods_per_shard.len(), 4);
-                assert_eq!(r.occupancy.len(), 4);
-                assert!(
-                    r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
-                    "uniform keys should populate most shards: {:?}",
-                    r.occupancy
-                );
-            }
+        for router in [RouterKind::Hash, RouterKind::Range] {
+            let r = run_forest_observed::<ScalableRcu>(
+                4,
+                ReclaimMode::Epoch,
+                router,
+                &spec,
+                1,
+                17,
+                None,
+            );
+            assert!(r.ops_per_s > 0.0);
+            assert_eq!(r.sync_calls_per_shard.len(), 4);
+            assert_eq!(r.grace_periods_per_shard.len(), 4);
+            assert_eq!(r.occupancy.len(), 4);
+            assert!(
+                r.occupancy.iter().filter(|&&n| n > 0).count() >= 2,
+                "uniform keys should populate most shards: {:?}",
+                r.occupancy
+            );
         }
     }
 
@@ -637,7 +627,6 @@ mod tests {
         let r = run_forest_observed::<ScalableRcu>(
             4,
             ReclaimMode::Leak,
-            false,
             RouterKind::Range,
             &spec,
             1,
@@ -657,7 +646,7 @@ mod tests {
     fn citrus_both_flavors_run() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 3, Duration::from_millis(30));
         for algo in [Algo::Citrus, Algo::CitrusStdRcu, Algo::CitrusEbr] {
-            assert!(run_algo(algo, false, &spec, 1, 13) > 0.0);
+            assert!(run_algo(algo, &spec, 1, 13) > 0.0);
         }
     }
 }

@@ -47,14 +47,21 @@
 //! // The node is freed automatically once a grace period has elapsed
 //! // (or at domain drop, whichever comes first).
 //! ```
+//!
+//! # No reclamation: the graveyard
+//!
+//! The paper's own methodology frees nothing while a benchmark runs.
+//! [`Graveyard`] is that scheme, shared by the Citrus tree's `Leak` mode
+//! and every baseline structure: unlinked nodes are queued and freed when
+//! the owning structure drops.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod deferred;
+mod graveyard;
 mod metrics;
 
-pub use deferred::{CallRcu, CallRcuConfig, DeferredMetrics};
+pub use graveyard::Graveyard;
 pub use metrics::ReclaimMetrics;
 
 use citrus_chaos as chaos;
@@ -164,31 +171,6 @@ impl EbrDomain {
             since_collect: Cell::new(0),
             stripe: self.metrics.assign_stripe(),
         }
-    }
-
-    /// Retires an unlinked allocation from any thread, without an
-    /// [`EbrHandle`]: the object goes straight to the domain's shared
-    /// orphan list, stamped with the current epoch, and is freed by a
-    /// later collection pass (or at domain drop).
-    ///
-    /// Used by the deferred-free machinery ([`CallRcu`] flush callbacks
-    /// run on whichever thread flushes, which holds no handle). Slower
-    /// than [`EbrHandle::retire`] — one shared lock per call — so not for
-    /// per-operation hot paths.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`EbrHandle::retire`].
-    pub unsafe fn retire_shared<T>(&self, ptr: *mut T) {
-        let epoch = self.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: ownership transferred per this function's contract.
-        let retired = unsafe { Retired::new(ptr, epoch) };
-        let depth = {
-            let mut orphans = self.orphans.lock();
-            orphans.push(retired);
-            orphans.len()
-        };
-        self.metrics.record_retire(0, depth);
     }
 
     /// This domain's metric instruments (no-ops unless the crate is built

@@ -10,7 +10,7 @@ use citrus_obs::{Counter, HighWaterMark, Log2Histogram, MetricsRegistry};
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// Stripe count for the per-domain retirement counter.
-pub(crate) const STRIPES: usize = 32;
+const STRIPES: usize = 32;
 
 /// Metrics kept by every [`EbrDomain`](crate::EbrDomain).
 ///

@@ -950,7 +950,7 @@ mod tests {
     use citrus::ReclaimMode;
 
     fn small_server() -> Server<u64, u64> {
-        let forest = CitrusForest::with_options(4, 7, ReclaimMode::Epoch, false);
+        let forest = CitrusForest::with_config(4, 7, ReclaimMode::Epoch);
         Server::new(forest)
     }
 

@@ -73,7 +73,7 @@ fn serve_pinned_seed() {
     testkit::check_chaos_seed(
         || {
             Server::with_config(
-                CitrusForest::<u64, u64>::with_options(2, 0x5EED, ReclaimMode::Epoch, true),
+                CitrusForest::<u64, u64>::with_config(2, 0x5EED, ReclaimMode::Epoch),
                 ServeConfig::default()
                     .with_batch_max(4)
                     .with_recycle_ops(16),

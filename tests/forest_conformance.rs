@@ -46,9 +46,8 @@ fn agreement_sweep<F: RcuFlavor>(shards: usize, base_seed: u64) {
             let seed = base_seed.wrapping_add(i);
             let ctx = format!("seed {seed:#x}, {shards} shards, {router} router");
             let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
-            let deferred = testkit::deferred_free();
             let forest: CitrusForest<u64, u64, F> =
-                CitrusForest::with_router(router, shards, seed, 128, ReclaimMode::Epoch, deferred);
+                CitrusForest::with_router(router, shards, seed, 128, ReclaimMode::Epoch);
             let oracle: CitrusTree<u64, u64, F> = CitrusTree::with_reclaim(ReclaimMode::Epoch);
             testkit::check_map_agreement(&forest, &oracle, 600, 128, seed);
 

@@ -76,25 +76,15 @@ where
     );
 }
 
-/// A Citrus tree over a fresh `F` domain; two-child deletes defer their
-/// unlink when the lane asks for it (`CITRUS_DEFERRED_FREE`).
+/// A Citrus tree over a fresh `F` domain.
 fn citrus_tree<F: RcuFlavor>(mode: ReclaimMode) -> CitrusTree<u64, u64, F> {
-    CitrusTree::with_options(F::new(), mode, testkit::deferred_free())
+    CitrusTree::with_reclaim(mode)
 }
 
 /// A `shards`-shard forest over `[0, key_range)`, hashed with seed
-/// 0x5EED or split evenly; two-child deletes defer their unlink when the
-/// lane asks for it.
+/// 0x5EED or split evenly.
 fn routed_forest(router: RouterKind, shards: usize, key_range: u64) -> CitrusForest<u64, u64> {
-    let mode = ReclaimMode::Epoch;
-    CitrusForest::with_router(
-        router,
-        shards,
-        0x5EED,
-        key_range,
-        mode,
-        testkit::deferred_free(),
-    )
+    CitrusForest::with_router(router, shards, 0x5EED, key_range, ReclaimMode::Epoch)
 }
 
 /// Both routers' runs of a forest battery. The range run's seeds are
@@ -186,7 +176,7 @@ fn baseline_bonsai() {
     lin_battery(BonsaiTree::<u64, u64>::new, 0x11A_0025);
 }
 
-// ---- Ordered reads: Citrus (both flavors, inline + deferred unlink),
+// ---- Ordered reads: Citrus (both flavors),
 // ---- forest fan-out, and the Bonsai snapshot baseline -----------------
 
 #[test]
@@ -198,38 +188,10 @@ fn scan_citrus_scalable_inline() {
 }
 
 #[test]
-fn scan_citrus_scalable_deferred() {
-    scan_battery(
-        || {
-            CitrusTree::<u64, u64, ScalableRcu>::with_options(
-                ScalableRcu::new(),
-                ReclaimMode::Epoch,
-                true,
-            )
-        },
-        0x5CA_0002,
-    );
-}
-
-#[test]
 fn scan_citrus_global_lock_inline() {
     scan_battery(
         || citrus_tree::<GlobalLockRcu>(ReclaimMode::Leak),
         0x5CA_0003,
-    );
-}
-
-#[test]
-fn scan_citrus_global_lock_deferred() {
-    scan_battery(
-        || {
-            CitrusTree::<u64, u64, GlobalLockRcu>::with_options(
-                GlobalLockRcu::new(),
-                ReclaimMode::Epoch,
-                true,
-            )
-        },
-        0x5CA_0004,
     );
 }
 
@@ -261,13 +223,7 @@ fn scan_forest_eight_shards() {
 #[test]
 fn scan_forest_range_router() {
     scan_battery(
-        || {
-            CitrusForest::<u64, u64>::with_range_router_options(
-                vec![4, 8],
-                ReclaimMode::Epoch,
-                false,
-            )
-        },
+        || CitrusForest::<u64, u64>::with_range_router_options(vec![4, 8], ReclaimMode::Epoch),
         0x5CA_0019,
     );
 }

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 fn server_with(config: ServeConfig) -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_options(2, 0x5EED, ReclaimMode::Epoch, false),
+        CitrusForest::with_config(2, 0x5EED, ReclaimMode::Epoch),
         config,
     )
 }

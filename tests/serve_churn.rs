@@ -75,7 +75,7 @@ fn client_churn_loses_no_acked_writes() {
     // recycle_ops(3) < batch_max(8): worker sessions are recycled in the
     // middle of draining a batch, not just between batches.
     let server: Server<u64, u64> = Server::with_config(
-        CitrusForest::with_options(4, 0x5EED, ReclaimMode::Epoch, true),
+        CitrusForest::with_config(4, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_batch_max(8).with_recycle_ops(3),
     );
 
@@ -149,7 +149,7 @@ fn client_churn_under_chaos_schedules() {
         let seed = 0x5E_7000u64.wrapping_add(i);
         let _chaos = testkit::install_chaos(testkit::ChaosPlan::from_seed(seed));
         let server: Server<u64, u64> = Server::with_config(
-            CitrusForest::with_options(2, seed, ReclaimMode::Epoch, false),
+            CitrusForest::with_config(2, seed, ReclaimMode::Epoch),
             ServeConfig::default().with_batch_max(4).with_recycle_ops(5),
         );
         let model = std::thread::scope(|scope| {

@@ -7,7 +7,7 @@
 //! clients exercise both paths; two direct tests pin when each is taken
 //! and that a shard keeps submission order across them.
 //!
-//! The grid covers {hash, range} routers × {inline, deferred} unlink.
+//! The grid covers the {hash, range} routers.
 //! Each cell runs a seeded agreement stream plus a quiescent audit (the
 //! drained forest's contents must equal the oracle's), and chaos-seed
 //! sweeps run the whole testkit battery — including the concurrent
@@ -42,18 +42,18 @@ fn serve_config() -> ServeConfig {
         .with_recycle_ops(96)
 }
 
-fn hash_server(deferred: bool, seed: u64) -> Server<u64, u64> {
+fn hash_server(seed: u64) -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_options(4, seed, ReclaimMode::Epoch, deferred),
+        CitrusForest::with_config(4, seed, ReclaimMode::Epoch),
         serve_config(),
     )
 }
 
 /// Range-routed over the 128-key agreement range: splitters at 32/64/96
 /// give four live shards.
-fn range_server(deferred: bool) -> Server<u64, u64> {
+fn range_server() -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_range_router_options(vec![32, 64, 96], ReclaimMode::Epoch, deferred),
+        CitrusForest::with_range_router_options(vec![32, 64, 96], ReclaimMode::Epoch),
         serve_config(),
     )
 }
@@ -86,26 +86,16 @@ fn agreement_sweep(make: impl Fn() -> Server<u64, u64>, base_seed: u64) {
     }
 }
 
-// ---- Agreement grid: {hash, range} × {inline, deferred} ---------------
+// ---- Agreement grid: {hash, range} ------------------------------------
 
 #[test]
 fn agree_hash_inline() {
-    agreement_sweep(|| hash_server(false, 0x5E_4001), 0x5E_4100);
-}
-
-#[test]
-fn agree_hash_deferred() {
-    agreement_sweep(|| hash_server(true, 0x5E_4002), 0x5E_4200);
+    agreement_sweep(|| hash_server(0x5E_4001), 0x5E_4100);
 }
 
 #[test]
 fn agree_range_inline() {
-    agreement_sweep(|| range_server(false), 0x5E_4300);
-}
-
-#[test]
-fn agree_range_deferred() {
-    agreement_sweep(|| range_server(true), 0x5E_4400);
+    agreement_sweep(range_server, 0x5E_4300);
 }
 
 // ---- Chaos-seed sweeps: the full testkit battery (sequential model,
@@ -115,23 +105,13 @@ fn agree_range_deferred() {
 #[test]
 fn chaos_sweep_hash_inline() {
     let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_hash_inline");
-    testkit::sweep_chaos_seeds(
-        || hash_server(false, 0x5E_4011),
-        0x5E_4500,
-        seeds_from_env(),
-    );
+    testkit::sweep_chaos_seeds(|| hash_server(0x5E_4011), 0x5E_4500, seeds_from_env());
 }
 
 #[test]
-fn chaos_sweep_hash_deferred() {
-    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_hash_deferred");
-    testkit::sweep_chaos_seeds(|| hash_server(true, 0x5E_4012), 0x5E_4600, seeds_from_env());
-}
-
-#[test]
-fn chaos_sweep_range_deferred() {
-    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_range_deferred");
-    testkit::sweep_chaos_seeds(|| range_server(true), 0x5E_4700, seeds_from_env());
+fn chaos_sweep_range_inline() {
+    let _watchdog = testkit::stress_watchdog("serve_conformance::chaos_sweep_range_inline");
+    testkit::sweep_chaos_seeds(range_server, 0x5E_4700, seeds_from_env());
 }
 
 // ---- Inline execution and queueing -------------------------------------
@@ -142,7 +122,7 @@ fn chaos_sweep_range_deferred() {
 /// one, so `executed / batches` stays the mean batch size.
 #[test]
 fn idle_shard_resolves_the_ticket_in_submit() {
-    let server = hash_server(false, 0x5E_4801);
+    let server = hash_server(0x5E_4801);
     for k in 0..16u64 {
         let ticket = server.submit(Request::Insert(k, k)).expect("admitted");
         assert!(ticket.is_ready(), "an idle shard executes on the caller");
@@ -168,7 +148,7 @@ fn inline_execution_holds_the_shard_and_keeps_fifo() {
     use citrus_repro::citrus_chaos as chaos;
     use std::sync::Mutex;
 
-    let server = hash_server(false, 0x5E_4803);
+    let server = hash_server(0x5E_4803);
     let shard = server.shard_for(&7);
     let first = Mutex::new(None);
     let second = Mutex::new(None);
@@ -220,7 +200,7 @@ fn serve_failpoints_register() {
 
     // Inline execution: a round-trip on an idle server.
     let server: Server<u64, u64> = Server::with_config(
-        CitrusForest::with_options(2, 0x5EED, ReclaimMode::Epoch, false),
+        CitrusForest::with_config(2, 0x5EED, ReclaimMode::Epoch),
         ServeConfig::default().with_high_water(1),
     );
     use citrus_repro::citrus_api::MapSession;

@@ -9,7 +9,7 @@
 //! cover strictly more than `tests/linearizability.rs` does for the raw
 //! structures.
 //!
-//! The grid covers {hash, range} routers × {inline, deferred} unlink, for
+//! The grid covers the {hash, range} routers, for
 //! both the point-op battery and the ordered-read (scan) battery. The
 //! checker itself is validated end-to-end too: a planted mutant that acks
 //! a write before applying it (`serve/drain/ack-before-apply`) must be
@@ -46,18 +46,18 @@ fn lincheck_config() -> ServeConfig {
 }
 
 /// A hash-routed server over `shards` shards.
-fn hash_server(shards: usize, deferred: bool) -> Server<u64, u64> {
+fn hash_server(shards: usize) -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_options(shards, 0x5EED, ReclaimMode::Epoch, deferred),
+        CitrusForest::with_config(shards, 0x5EED, ReclaimMode::Epoch),
         lincheck_config(),
     )
 }
 
 /// A range-routed server: splitters at 8/16/24 give four shards that
 /// cover both the 32-key direct battery and the 16-key sweep range.
-fn range_server(deferred: bool) -> Server<u64, u64> {
+fn range_server() -> Server<u64, u64> {
     Server::with_config(
-        CitrusForest::with_range_router_options(vec![8, 16, 24], ReclaimMode::Epoch, deferred),
+        CitrusForest::with_range_router_options(vec![8, 16, 24], ReclaimMode::Epoch),
         lincheck_config(),
     )
 }
@@ -101,26 +101,16 @@ where
     );
 }
 
-// ---- Point ops: {hash, range} × {inline, deferred} --------------------
+// ---- Point ops: {hash, range} -----------------------------------------
 
 #[test]
 fn serve_hash_inline() {
-    lin_battery(|| hash_server(4, false), 0x5E_1001);
-}
-
-#[test]
-fn serve_hash_deferred() {
-    lin_battery(|| hash_server(4, true), 0x5E_1002);
+    lin_battery(|| hash_server(4), 0x5E_1001);
 }
 
 #[test]
 fn serve_range_inline() {
-    lin_battery(|| range_server(false), 0x5E_1003);
-}
-
-#[test]
-fn serve_range_deferred() {
-    lin_battery(|| range_server(true), 0x5E_1004);
+    lin_battery(range_server, 0x5E_1003);
 }
 
 /// Degenerate single-shard server: one worker drains every batch, so
@@ -128,29 +118,19 @@ fn serve_range_deferred() {
 /// response-delivery bug is most visible.
 #[test]
 fn serve_one_shard() {
-    lin_battery(|| hash_server(1, false), 0x5E_1005);
+    lin_battery(|| hash_server(1), 0x5E_1005);
 }
 
-// ---- Ordered reads: {hash, range} × {inline, deferred} ----------------
+// ---- Ordered reads: {hash, range} -------------------------------------
 
 #[test]
 fn serve_scan_hash_inline() {
-    scan_battery(|| hash_server(4, false), 0x5E_2001);
-}
-
-#[test]
-fn serve_scan_hash_deferred() {
-    scan_battery(|| hash_server(4, true), 0x5E_2002);
+    scan_battery(|| hash_server(4), 0x5E_2001);
 }
 
 #[test]
 fn serve_scan_range_inline() {
-    scan_battery(|| range_server(false), 0x5E_2003);
-}
-
-#[test]
-fn serve_scan_range_deferred() {
-    scan_battery(|| range_server(true), 0x5E_2004);
+    scan_battery(range_server, 0x5E_2003);
 }
 
 // ---- Checker validation: the planted batching mutant ------------------
@@ -198,13 +178,7 @@ mod planted_mutant {
     fn reordered_ack_mutant_is_rejected_with_minimal_counterexample() {
         let _guard = chaos::enable_mutant("serve/drain/ack-before-apply");
         let outcome = std::panic::catch_unwind(|| {
-            lincheck::check_linearizable(
-                || ReorderedAckServe(hash_server(1, false)),
-                1,
-                60,
-                4,
-                0x5E_3001,
-            );
+            lincheck::check_linearizable(|| ReorderedAckServe(hash_server(1)), 1, 60, 4, 0x5E_3001);
         });
         let payload = outcome.expect_err("the reordered-ack mutant must be rejected");
         let message = payload
@@ -259,6 +233,6 @@ mod planted_mutant {
     /// boundary itself.
     #[test]
     fn same_server_passes_without_the_mutant() {
-        lincheck::check_linearizable(|| hash_server(1, false), 1, 60, 4, 0x5E_3001);
+        lincheck::check_linearizable(|| hash_server(1), 1, 60, 4, 0x5E_3001);
     }
 }
