@@ -178,7 +178,12 @@ where
                             }
                         }
                     }
-                    logs.lock().unwrap().push(s.finish());
+                    // Finish (dropping the session) before taking the
+                    // log lock: a session's drop may wait for a grace
+                    // period, whose yield points hand the CPU to threads
+                    // that then need this lock.
+                    let log = s.finish();
+                    logs.lock().unwrap().push(log);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();

@@ -36,10 +36,9 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub use citrus_chaos::{
-    all_points, budget_from_env, chaos_enabled, enable_mutant, install as install_chaos,
-    mutant_enabled, replay_recipe, run_schedule, ChaosGuard, ChaosPlan, ExploreConfig,
-    ExploreReport, ExploredRun, Explorer, MutantGuard, ScheduleFailure, ScheduleOutcome,
-    SchedulePlan,
+    all_points, budget_from_env, chaos_enabled, install as install_chaos, replay_recipe,
+    run_schedule, ChaosGuard, ChaosPlan, ExploreConfig, ExploreReport, ExploredRun, Explorer,
+    Mutants, ScheduleFailure, ScheduleOutcome, SchedulePlan,
 };
 
 pub use crate::explore::{

@@ -18,8 +18,9 @@
 //! Matching the paper's methodology ("without performing any memory
 //! reclamation"), removed/replaced nodes go to a per-structure
 //! [`Graveyard`](citrus_reclaim::Graveyard) and are freed when the structure is dropped.
-//! (The Citrus tree additionally offers epoch-based reclamation; the
-//! baselines deliberately reproduce the paper's setup.)
+//! (The Citrus tree additionally frees removed nodes after its own RCU
+//! grace periods; the baselines deliberately reproduce the paper's
+//! setup.)
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -272,7 +272,7 @@ fn skew_cell_json(c: &ForestSkewCell) -> String {
 }
 
 fn main() {
-    banner("Forest shard sweep — per-shard RCU/EBR grace-period domains");
+    banner("Forest shard sweep — per-shard RCU grace-period domains");
     let cfg = config_from_env_and_args();
     let shards: Vec<usize> = cfg.shards.iter().map(|&n| n.next_power_of_two()).collect();
     let cells = forest_sweep(&cfg);

@@ -48,7 +48,7 @@
 //!
 //! Sites register themselves via the [`point!`], [`should_fail!`], and
 //! [`blocked!`] macros; [`all_points`] lists everything reached so far so
-//! sweeps can assert coverage. [`mutant_enabled`]-guarded test-only
+//! sweeps can assert coverage. [`Mutants`]-guarded test-only
 //! mutations let the suite prove the explorer actually catches bugs.
 
 #![warn(missing_docs)]
@@ -64,7 +64,7 @@ mod sched;
 pub use explore::{
     budget_from_env, ExploreConfig, ExploreReport, ExploredRun, Explorer, ScheduleFailure,
 };
-pub use mutant::{enable_mutant, mutant_enabled, MutantGuard};
+pub use mutant::Mutants;
 pub use plan::ChaosPlan;
 pub use point::{
     active_plan_seed, chaos_active, chaos_enabled, install, point, set_thread_stream, should_fail,

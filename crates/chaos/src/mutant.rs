@@ -2,88 +2,99 @@
 //! *deliberately wrong*, so the exploration and chaos suites can prove
 //! they detect real bugs (and CI can self-test the detector).
 //!
-//! Instrumented code guards a correctness-critical step with
-//! [`mutant_enabled`]:
+//! A structure owns one [`Mutants`] set and guards each
+//! correctness-critical step with it:
 //!
 //! ```ignore
-//! if !citrus_chaos::mutant_enabled("citrus/remove/skip-synchronize") {
+//! if !self.mutants.enabled("citrus/remove/skip-synchronize") {
 //!     self.rcu.synchronize();
 //! }
 //! ```
 //!
-//! With the `chaos` feature off the check is `const false` and the
-//! branch folds away entirely — mutants cannot be enabled in production
-//! builds. Tests enable one with [`enable_mutant`] and hold the returned
-//! guard for the duration of the run.
+//! A test enables a mutant on the one instance it checks, so a structure
+//! built by a sibling test — on another thread of the same test binary —
+//! never runs the mutated code. With the `chaos` feature off the set is
+//! zero-sized, [`Mutants::enabled`] is `const false` and the branch folds
+//! away entirely: mutants cannot be enabled in production builds.
 
-/// RAII guard from [`enable_mutant`]; dropping it disables the mutant.
-#[derive(Debug)]
-pub struct MutantGuard {
+/// The mutants enabled on one structure instance.
+///
+/// Clones share the set: a forest hands one set to every shard tree, and
+/// a server checks its forest's set. A fresh set has nothing enabled.
+#[derive(Clone, Debug, Default)]
+pub struct Mutants {
     #[cfg(feature = "chaos")]
-    name: &'static str,
+    inner: std::sync::Arc<imp::Set>,
 }
 
 #[cfg(feature = "chaos")]
 mod imp {
-    use super::MutantGuard;
-    use std::collections::BTreeSet;
+    use super::Mutants;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Mutex, PoisonError};
 
-    /// Fast-path count of enabled mutants: the common case (none) is a
-    /// single relaxed load.
-    static ENABLED_COUNT: AtomicUsize = AtomicUsize::new(0);
-    static ENABLED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-
-    fn set() -> std::sync::MutexGuard<'static, BTreeSet<&'static str>> {
-        ENABLED.lock().unwrap_or_else(PoisonError::into_inner)
+    #[derive(Debug, Default)]
+    pub(super) struct Set {
+        /// Fast-path count of enabled mutants: the common case (none) is
+        /// a single relaxed load.
+        count: AtomicUsize,
+        names: Mutex<Vec<&'static str>>,
     }
 
-    /// Whether the named mutation is currently enabled.
-    #[inline]
-    #[must_use]
-    pub fn mutant_enabled(name: &str) -> bool {
-        if ENABLED_COUNT.load(Ordering::Relaxed) == 0 {
-            return false;
+    impl Mutants {
+        /// Whether the named mutation is enabled on this set.
+        #[inline]
+        #[must_use]
+        pub fn enabled(&self, name: &str) -> bool {
+            if self.inner.count.load(Ordering::Relaxed) == 0 {
+                return false;
+            }
+            self.inner
+                .names
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .contains(&name)
         }
-        set().contains(name)
-    }
 
-    /// Enables the named mutation until the returned guard drops.
-    #[must_use]
-    pub fn enable_mutant(name: &'static str) -> MutantGuard {
-        let inserted = set().insert(name);
-        assert!(inserted, "mutant {name:?} enabled twice");
-        ENABLED_COUNT.fetch_add(1, Ordering::Relaxed);
-        MutantGuard { name }
-    }
-
-    impl Drop for MutantGuard {
-        fn drop(&mut self) {
-            set().remove(self.name);
-            ENABLED_COUNT.fetch_sub(1, Ordering::Relaxed);
+        /// Enables the named mutation for every holder of this set, for
+        /// the rest of its life.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the mutant is already enabled on this set.
+        pub fn enable(&self, name: &'static str) {
+            let mut names = self
+                .inner
+                .names
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(!names.contains(&name), "mutant {name:?} enabled twice");
+            names.push(name);
+            self.inner.count.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 #[cfg(not(feature = "chaos"))]
-mod imp {
-    use super::MutantGuard;
-
+impl Mutants {
     /// Always `false` in this build: mutations are compiled out.
     #[inline(always)]
     #[must_use]
-    pub fn mutant_enabled(name: &str) -> bool {
+    pub fn enabled(&self, name: &str) -> bool {
         let _ = name;
         false
     }
 
-    /// No-op guard in this build (the mutation will never fire).
-    #[must_use]
-    pub fn enable_mutant(name: &'static str) -> MutantGuard {
+    /// No-op in this build (the mutation will never fire).
+    pub fn enable(&self, name: &'static str) {
         let _ = name;
-        MutantGuard {}
     }
 }
 
-pub use imp::{enable_mutant, mutant_enabled};
+impl Mutants {
+    /// An empty set.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}

@@ -198,15 +198,19 @@ fn registry_sees_fired_sites() {
     );
 }
 
+/// A mutant is visible through the set it was enabled on and its clones
+/// only: a structure that owns another set never runs the mutated code.
 #[test]
-fn mutant_guard_enables_and_disables() {
-    assert!(!chaos::mutant_enabled("toy/mutant/x"));
-    {
-        let _g = chaos::enable_mutant("toy/mutant/x");
-        assert!(chaos::mutant_enabled("toy/mutant/x"));
-        assert!(!chaos::mutant_enabled("toy/mutant/y"));
-    }
-    assert!(!chaos::mutant_enabled("toy/mutant/x"));
+fn mutants_are_scoped_to_their_set() {
+    let mutants = chaos::Mutants::new();
+    let shared = mutants.clone();
+    let unrelated = chaos::Mutants::new();
+    assert!(!mutants.enabled("toy/mutant/x"));
+    mutants.enable("toy/mutant/x");
+    assert!(mutants.enabled("toy/mutant/x"));
+    assert!(shared.enabled("toy/mutant/x"));
+    assert!(!mutants.enabled("toy/mutant/y"));
+    assert!(!unrelated.enabled("toy/mutant/x"));
 }
 
 /// The classic lost update: both threads read-modify-write a counter

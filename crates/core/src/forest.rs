@@ -9,9 +9,9 @@
 //!
 //! A forest partitions the key space over a fixed power-of-two array of
 //! independent [`CitrusTree`] shards. Each shard owns a **private** RCU
-//! flavor instance and (in [`ReclaimMode::Epoch`]) a **private**
-//! epoch-reclamation domain, so `synchronize_rcu` and epoch advancement in
-//! one shard never wait on readers or updaters of another. This is the
+//! flavor instance, which also times the reclamation of its removed
+//! nodes, so `synchronize_rcu` in one shard never waits on readers or
+//! updaters of another. This is the
 //! same partition-to-scale move as Linux Tree RCU's per-CPU hierarchy,
 //! applied at the data-structure level.
 //!
@@ -45,7 +45,7 @@
 //!
 //! # What stays per-shard vs. global
 //!
-//! Per-shard: BST invariants, per-node locks, grace periods, epochs,
+//! Per-shard: BST invariants, per-node locks, grace periods,
 //! retired-node lifetimes, metric components. Global: the routing
 //! function, plus the *combined* read-side window a concurrent ordered
 //! read holds across every shard (next section). Aggregate views
@@ -61,7 +61,7 @@
 //! To stay linearizable a multi-shard read cannot scan shards one after
 //! another — shard A's snapshot would predate shard B's, and a writer
 //! completing two inserts between them could be observed half-done.
-//! Instead the session enters the relevant shards' read-side contexts,
+//! Instead the session enters the relevant shards' read-side sections,
 //! collects a validated traversal per shard, and only then re-checks all
 //! recorded edges across those shards, restarting the whole fan-out if
 //! any moved. All reads precede all re-checks, so a successful pass
@@ -88,7 +88,7 @@ use crate::checks::{InvariantViolation, TreeStats};
 use crate::node::Dir;
 use crate::tree::{CitrusSession, CitrusTree, ReclaimMode, ScanAttempt, DEFERRED_REMOVED};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
-use citrus_chaos as chaos;
+use citrus_chaos::{self as chaos, Mutants};
 use citrus_obs::{Counter, Log2Histogram, MetricsRegistry};
 use citrus_rcu::{RcuFlavor, ScalableRcu};
 use core::cmp::Reverse;
@@ -350,7 +350,7 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
     pub fn with_config(n: usize, seed: u64, mode: ReclaimMode) -> Self {
         let n = n.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
+            shards: shards(n, mode),
             router: Router::Hash { seed },
             metrics: ForestMetrics::new(n),
         }
@@ -370,6 +370,21 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
         assert!(!deferred, "{DEFERRED_REMOVED}");
         Self::with_config(n, seed, mode)
     }
+}
+
+/// `n` shard trees sharing one mutant set.
+fn shards<K: Send + Sync, V: Send + Sync, F: RcuFlavor>(
+    n: usize,
+    mode: ReclaimMode,
+) -> Box<[CitrusTree<K, V, F>]> {
+    let mutants = Mutants::new();
+    (0..n)
+        .map(|_| {
+            let mut tree = CitrusTree::with_reclaim(mode);
+            tree.mutants = mutants.clone();
+            tree
+        })
+        .collect()
 }
 
 impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
@@ -400,7 +415,7 @@ impl<K: Ord + Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusForest<K, V, F> {
         );
         let n = splitters.len() + 1;
         Self {
-            shards: (0..n).map(|_| CitrusTree::with_reclaim(mode)).collect(),
+            shards: shards(n, mode),
             router: Router::Range {
                 splitters: splitters.into_boxed_slice(),
             },
@@ -487,6 +502,13 @@ impl<K, V, F: RcuFlavor> CitrusForest<K, V, F> {
     #[must_use]
     pub fn metrics(&self) -> &ForestMetrics {
         &self.metrics
+    }
+
+    /// The planted bugs enabled on this forest — one set shared by every
+    /// shard tree (see [`CitrusTree::mutants`]).
+    #[must_use]
+    pub fn mutants(&self) -> &Mutants {
+        self.shards[0].mutants()
     }
 
     /// The shards' reclamation mode (identical across shards).
@@ -814,13 +836,12 @@ where
             .map(|slot| slot.as_ref().expect("materialized above"))
             .collect();
         loop {
-            let guards: Vec<_> = sessions.iter().map(|s| s.ordered_read_enter()).collect();
+            let guards: Vec<_> = sessions.iter().map(|s| s.read_lock()).collect();
             let attempts: Vec<ScanAttempt<K, V>> = sessions.iter().map(|&s| collect(s)).collect();
             chaos::point!("forest/scan/validate");
             // SAFETY: `guards` still holds every entered shard's
-            // read-side section and pin the attempts were collected
-            // under.
-            let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
+            // read-side section the attempts were collected under.
+            let ok = self.forest.mutants().enabled("citrus/scan/skip-validation")
                 || attempts.iter().all(|a| unsafe { a.validate() });
             if ok {
                 let out = extract(&attempts);
@@ -946,7 +967,7 @@ where
                 let session = self.sessions[shard_at(step)]
                     .as_ref()
                     .expect("ensured above");
-                guards.push(session.ordered_read_enter());
+                guards.push(session.read_lock());
                 let attempt = session.collect_directed(key, side);
                 found = attempt.has_candidate();
                 attempts.push(attempt);
@@ -956,8 +977,8 @@ where
             }
             chaos::point!("forest/scan/validate");
             // SAFETY: `guards` still holds every probed shard's read-side
-            // section and pin the attempts were collected under.
-            let ok = chaos::mutant_enabled("citrus/scan/skip-validation")
+            // section the attempts were collected under.
+            let ok = self.forest.mutants().enabled("citrus/scan/skip-validation")
                 || attempts.iter().all(|a| unsafe { a.validate() });
             if !ok {
                 drop(guards);

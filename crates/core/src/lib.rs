@@ -49,8 +49,9 @@
 //! The paper's experiments run with reclamation disabled; its future work
 //! asks for proper reclamation. Both are available ([`ReclaimMode`]):
 //! `Leak` queues removed nodes until the tree drops (the paper's
-//! methodology), `Epoch` (default) retires them to an epoch-based
-//! reclamation domain and frees them after a grace period.
+//! methodology), `Epoch` (default) has the removing session free them
+//! after its own next RCU grace period — the tree's RCU domain is the one
+//! mechanism for both read-side protection and reclamation.
 //!
 //! ## Crate map
 //!

@@ -106,6 +106,14 @@ pub(crate) struct Node<K, V> {
     /// Set (under `lock`) just before the node is unlinked; `validate`
     /// checks it to detect operating on a deleted node.
     pub(crate) marked: AtomicBool,
+    /// Chaos builds only: set when the tree frees the node, which it then
+    /// keeps allocated in a quarantine, so a reader that reaches a node
+    /// freed before its grace period ended fails [`check_live`]
+    /// deterministically instead of reading freed memory.
+    ///
+    /// [`check_live`]: Self::check_live
+    #[cfg(feature = "chaos")]
+    pub(crate) reclaimed: AtomicBool,
     /// Child pointers (`child[0]` = left, `child[1]` = right).
     pub(crate) child: [AtomicPtr<Node<K, V>>; 2],
     /// Per-child tags, incremented when the corresponding child is set to
@@ -127,6 +135,8 @@ impl<K, V> Node<K, V> {
             key,
             value,
             marked: AtomicBool::new(false),
+            #[cfg(feature = "chaos")]
+            reclaimed: AtomicBool::new(false),
             lock: RawSpinLock::new(),
             child: [
                 AtomicPtr::new(ptr::null_mut()),
@@ -150,6 +160,8 @@ impl<K, V> Node<K, V> {
             key,
             value,
             marked: AtomicBool::new(false),
+            #[cfg(feature = "chaos")]
+            reclaimed: AtomicBool::new(false),
             lock: RawSpinLock::new(),
             child: [AtomicPtr::new(left), AtomicPtr::new(right)],
             tag: [AtomicU64::new(0), AtomicU64::new(0)],
@@ -192,6 +204,18 @@ impl<K, V> Node<K, V> {
     #[inline]
     pub(crate) fn mark(&self) {
         self.marked.store(true, Ordering::Release);
+    }
+
+    /// Chaos builds: panics if the tree has already freed this node — a
+    /// reader reached it after the free, so the free came before the
+    /// reader's grace period ended. A no-op in other builds.
+    #[inline]
+    pub(crate) fn check_live(&self) {
+        #[cfg(feature = "chaos")]
+        assert!(
+            !self.reclaimed.load(Ordering::Acquire),
+            "use after free: a reader reached a node freed before its grace period ended"
+        );
     }
 }
 

@@ -4,13 +4,24 @@
 //!   (lines 1–15 → [`CitrusSession::search`]).
 //! * `contains` — `get` plus a value read (lines 16–20 →
 //!   [`CitrusSession::get`]).
-//! * `insert` — search, lock `prev` **outside** the read-side section,
-//!   validate, link a new leaf (lines 21–32 → [`CitrusSession::insert`]).
-//! * `delete` — search, lock `prev` and `curr`, validate; a node with at
-//!   most one child is *bypassed*; a node with two children is replaced by
-//!   a **copy of its successor**, then the operation waits for concurrent
-//!   searches with `synchronize_rcu` before unlinking the old successor
-//!   (lines 42–84 → [`CitrusSession::remove`]).
+//! * `insert` — search, then `try_lock` `prev` and validate it **inside**
+//!   the same read-side section; link a new leaf after leaving it (lines
+//!   21–32 → [`CitrusSession::insert`]).
+//! * `delete` — search, `try_lock` and validate `prev` inside the
+//!   section, then lock `curr`, its anchored child, outside it; a node
+//!   with at most one child is *bypassed*; a node with two children is
+//!   replaced by a **copy of its successor** (whose parent is again
+//!   `try_lock`ed and validated inside a section), then the operation
+//!   waits for concurrent searches with `synchronize_rcu` before
+//!   unlinking the old successor (lines 42–84 → [`CitrusSession::remove`]).
+//! * Update protocol (DESIGN.md §7): outside a read-side section a
+//!   session touches only nodes it has locked and validated, or a child
+//!   of such a node — unlinking that child needs the lock it holds. A
+//!   busy `try_lock` leaves the section, backs off and re-searches, so no
+//!   thread waits for a node lock inside a section that a lock-holding
+//!   `synchronize_rcu` waits for. Removed nodes therefore need no
+//!   protection beyond RCU: in [`ReclaimMode::Epoch`] a session frees
+//!   them after its own next `synchronize_rcu`.
 //! * `validate` / `incrementTag` — lines 33–41 → [`validate`] /
 //!   [`Node::increment_tag`].
 //! * `range_scan` / `successor` / `predecessor` — ordered reads layered on
@@ -22,17 +33,22 @@
 use crate::metrics::TreeMetrics;
 use crate::node::{Dir, KeyBound, Node};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
-use citrus_chaos as chaos;
+use citrus_chaos::{self as chaos, Mutants};
 use citrus_obs::MetricsRegistry;
 use citrus_rcu::{RcuFlavor, RcuHandle, RcuReadGuard, ScalableRcu};
-use citrus_reclaim::{EbrDomain, EbrGuard, EbrHandle, Graveyard};
-use core::cell::{Cell, RefCell};
+use citrus_reclaim::Graveyard;
+use citrus_sync::Backoff;
+use core::cell::Cell;
 use core::cmp::Ordering as CmpOrdering;
 use core::fmt;
 use core::marker::PhantomData;
 use core::ptr;
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// How removed nodes are reclaimed.
+///
+/// Both modes share one update protocol and one per-session retire list;
+/// they differ only in where a full list goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReclaimMode {
     /// Removed nodes are queued and freed only when the tree is dropped.
@@ -41,17 +57,25 @@ pub enum ReclaimMode {
     /// memory reclamation") — zero reclamation work on the operation path,
     /// unbounded transient memory.
     Leak,
-    /// Removed nodes are retired to an epoch-based reclamation domain and
-    /// freed after a grace period covering entire operations (the paper's
-    /// future-work item; see `citrus-reclaim`). The default.
+    /// Removed nodes are freed by the session that removed them, after
+    /// its own next `synchronize_rcu` on the tree's RCU domain: a
+    /// two-child delete's grace period, or one the session waits for when
+    /// its retire list reaches 256 nodes or the session drops (the
+    /// paper's future-work item). The default.
     #[default]
     Epoch,
 }
 
 enum ReclaimInner<K, V> {
     Leak(Graveyard<Node<K, V>>),
-    Epoch(EbrDomain),
+    /// Removed nodes freed so far.
+    Epoch(AtomicU64),
 }
+
+/// Chaos builds keep this many freed nodes allocated (see
+/// [`Node::check_live`]) before really freeing the oldest.
+#[cfg(feature = "chaos")]
+const QUARANTINE: usize = 1024;
 
 /// The Citrus tree: an internal binary search tree with fine-grained
 /// locking among updaters and wait-free, RCU-protected `contains`.
@@ -82,6 +106,12 @@ pub struct CitrusTree<K, V, F: RcuFlavor = ScalableRcu> {
     rcu: F,
     reclaim: ReclaimInner<K, V>,
     metrics: TreeMetrics,
+    /// Planted bugs enabled on this tree (chaos builds only); a forest
+    /// shares one set across its shards.
+    pub(crate) mutants: Mutants,
+    /// Chaos builds: freed nodes kept allocated, oldest first.
+    #[cfg(feature = "chaos")]
+    quarantine: citrus_sync::SpinMutex<std::collections::VecDeque<*mut Node<K, V>>>,
     _marker: PhantomData<Node<K, V>>,
 }
 
@@ -125,9 +155,12 @@ impl<K: Send + Sync, V: Send + Sync, F: RcuFlavor> CitrusTree<K, V, F> {
             rcu,
             reclaim: match mode {
                 ReclaimMode::Leak => ReclaimInner::Leak(Graveyard::new()),
-                ReclaimMode::Epoch => ReclaimInner::Epoch(EbrDomain::new()),
+                ReclaimMode::Epoch => ReclaimInner::Epoch(AtomicU64::new(0)),
             },
             metrics: TreeMetrics::new(),
+            mutants: Mutants::new(),
+            #[cfg(feature = "chaos")]
+            quarantine: Default::default(),
             _marker: PhantomData,
         }
     }
@@ -147,9 +180,7 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
     /// Registers the whole stack's instruments into `registry`:
     ///
     /// * the tree's own counters under component `"citrus"`,
-    /// * the RCU domain's under the flavor name (e.g. `"rcu-scalable"`),
-    /// * in [`ReclaimMode::Epoch`], the reclamation domain's under
-    ///   `"reclaim"`.
+    /// * the RCU domain's under the flavor name (e.g. `"rcu-scalable"`).
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         self.register_metrics_prefixed(registry, "");
     }
@@ -163,11 +194,6 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
         self.rcu
             .metrics()
             .register_into(registry, &format!("{prefix}{}", F::NAME));
-        if let ReclaimInner::Epoch(domain) = &self.reclaim {
-            domain
-                .metrics()
-                .register_into(registry, &format!("{prefix}reclaim"));
-        }
     }
 
     /// The tree's reclamation mode.
@@ -188,27 +214,59 @@ impl<K, V, F: RcuFlavor> CitrusTree<K, V, F> {
     /// [`ReclaimMode::Leak`] (nothing is freed before drop).
     pub fn reclaimed_count(&self) -> Option<u64> {
         match &self.reclaim {
-            ReclaimInner::Epoch(domain) => Some(domain.freed_count()),
+            ReclaimInner::Epoch(freed) => Some(freed.load(Ordering::Relaxed)),
             ReclaimInner::Leak(_) => None,
         }
     }
 
+    /// The planted bugs enabled on this tree. Chaos builds only: a test
+    /// enables a mutant here to prove a sweep catches it, and no other
+    /// tree sees it.
+    pub fn mutants(&self) -> &Mutants {
+        &self.mutants
+    }
+
     /// Creates a session for the calling thread.
     ///
-    /// Sessions are cheap (one RCU reader slot, one optional reclamation
-    /// slot) but not free — create one per thread, not per operation.
+    /// Sessions are cheap (one RCU reader slot and an empty retire list)
+    /// but not free — create one per thread, not per operation.
     pub fn session(&self) -> CitrusSession<'_, K, V, F> {
         CitrusSession {
             tree: self,
             rcu: self.rcu.register(),
-            ebr: match &self.reclaim {
-                ReclaimInner::Epoch(domain) => Some(domain.register()),
-                ReclaimInner::Leak(_) => None,
-            },
-            graveyard: RefCell::new(Vec::new()),
+            retired: Vec::new(),
             stats: SessionStats::default(),
             stripe: self.metrics.assign_stripe(),
         }
+    }
+
+    /// Frees one removed node whose grace period has ended.
+    ///
+    /// Chaos builds mark the node and park it in the quarantine instead,
+    /// really freeing only the oldest quarantined node beyond the
+    /// `QUARANTINE` bound, so that a premature free shows up as a
+    /// [`Node::check_live`] panic.
+    ///
+    /// # Safety
+    ///
+    /// `node` must be unlinked, Box-allocated, owned by the caller, and no
+    /// read-side section that began before it was unlinked may still run.
+    unsafe fn free_node(&self, node: *mut Node<K, V>) {
+        #[cfg(feature = "chaos")]
+        let node = {
+            // SAFETY: allocated until this function frees it.
+            unsafe { (*node).reclaimed.store(true, Ordering::Release) };
+            let mut quarantine = self.quarantine.lock();
+            quarantine.push_back(node);
+            if quarantine.len() <= QUARANTINE {
+                return;
+            }
+            quarantine
+                .pop_front()
+                .expect("quarantine is over its bound")
+        };
+        // SAFETY: per contract.
+        unsafe { drop(Box::from_raw(node)) };
     }
 
     /// Root pointer, for the invariant checkers in [`crate::checks`].
@@ -241,8 +299,15 @@ impl<K, V, F: RcuFlavor> Drop for CitrusTree<K, V, F> {
                 drop(Box::from_raw(p));
             }
         }
-        // Retired nodes are freed by the `Graveyard`'s / `EbrDomain`'s own
-        // Drop when `self.reclaim` goes away.
+        // `Leak`-mode nodes are freed by the `Graveyard`'s own Drop when
+        // `self.reclaim` goes away; `Epoch`-mode sessions freed theirs
+        // before they dropped.
+        #[cfg(feature = "chaos")]
+        for node in self.quarantine.get_mut().drain(..) {
+            // SAFETY: quarantined nodes were freed logically and are owned
+            // by the quarantine alone.
+            unsafe { drop(Box::from_raw(node)) };
+        }
     }
 }
 
@@ -283,12 +348,14 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Times an `insert` failed validation and restarted.
+    /// Times an `insert` failed validation, or found `prev` locked, and
+    /// restarted.
     pub fn insert_retries(&self) -> u64 {
         self.insert_retries.get()
     }
 
-    /// Times a `remove` failed validation and restarted.
+    /// Times a `remove` failed validation, or found a lock it takes
+    /// inside a read-side section busy, and restarted.
     pub fn remove_retries(&self) -> u64 {
         self.remove_retries.get()
     }
@@ -308,22 +375,24 @@ impl SessionStats {
 
 /// A per-thread handle to a [`CitrusTree`].
 ///
-/// Holds the thread's RCU reader slot and (in `Epoch` mode) its
-/// reclamation slot. Not `Send`.
+/// Holds the thread's RCU reader slot and the nodes it removed but has
+/// not yet handed on. Not `Send`.
 pub struct CitrusSession<'t, K, V, F: RcuFlavor> {
     tree: &'t CitrusTree<K, V, F>,
     rcu: F::Handle<'t>,
-    ebr: Option<EbrHandle<'t>>,
-    /// `Leak` mode: locally buffered unlinked nodes, flushed to the tree's
-    /// graveyard in batches (and on drop).
-    graveyard: RefCell<Vec<*mut Node<K, V>>>,
+    /// Nodes this session unlinked, in unlink order. `Epoch` mode frees
+    /// them after the session's next `synchronize_rcu`; `Leak` mode moves
+    /// them to the tree's graveyard in batches (and on drop).
+    retired: Vec<*mut Node<K, V>>,
     stats: SessionStats,
     /// This session's tree-metric counter stripe.
     stripe: usize,
 }
 
-/// Batch size for flushing the session graveyard to the shared one.
-const GRAVEYARD_FLUSH: usize = 256;
+/// Retire-list length at which a session hands its list on: to the
+/// graveyard in `Leak` mode, through a grace period of its own in `Epoch`
+/// mode.
+const RETIRE_FLUSH: usize = 256;
 
 /// RAII set of node locks held by one update operation.
 ///
@@ -347,6 +416,22 @@ impl<K, V> LockSet<K, V> {
         }
     }
 
+    /// Locks `node` if it is free, taking responsibility for unlocking
+    /// it. Never waits: this is how locks are taken inside a read-side
+    /// section.
+    ///
+    /// # Safety
+    ///
+    /// As for [`acquire`](Self::acquire).
+    unsafe fn try_acquire(&mut self, node: *mut Node<K, V>) -> bool {
+        // SAFETY: valid per contract.
+        let locked = unsafe { (*node).lock.try_lock() };
+        if locked {
+            self.adopt(node);
+        }
+        locked
+    }
+
     /// Locks `node` and takes responsibility for unlocking it.
     ///
     /// # Safety
@@ -366,16 +451,24 @@ impl<K, V> LockSet<K, V> {
         self.nodes[self.len] = node;
         self.len += 1;
     }
+
+    /// Unlocks every held node in reverse acquisition order. A set that
+    /// holds a node validated only inside a read-side section must be
+    /// released before the section ends, while the node is still covered.
+    fn release(&mut self) {
+        while self.len > 0 {
+            self.len -= 1;
+            // SAFETY: locked by this thread via `acquire`/`adopt` and not
+            // yet unlocked; a locked node stays allocated until it is
+            // unlocked (update protocol, module docs).
+            unsafe { (*self.nodes[self.len]).lock.unlock() };
+        }
+    }
 }
 
 impl<K, V> Drop for LockSet<K, V> {
     fn drop(&mut self) {
-        for &node in self.nodes[..self.len].iter().rev() {
-            // SAFETY: locked by this thread via `acquire`/`adopt` and not
-            // yet unlocked; nodes outlive the operation (reclamation
-            // protocol).
-            unsafe { (*node).lock.unlock() };
-        }
+        self.release();
     }
 }
 
@@ -447,14 +540,16 @@ impl<K, V> ScanAttempt<K, V> {
     /// For a non-null edge, pointer equality plus an unmarked child
     /// suffices: a bypassed or spliced-out node is marked before it is
     /// unlinked and is never re-linked, and its address cannot be reused
-    /// while the collector's pin is held — so an unchanged, unmarked child
+    /// while the read-side section the attempt was collected under is
+    /// held, because a removed node is freed only after a grace period
+    /// that waits for that section — so an unchanged, unmarked child
     /// pointer means the edge held for the whole interval. Null edges use
     /// the tag (see [`ScanEdge::Null`]).
     ///
     /// # Safety
     ///
     /// Every recorded node must still be allocated: the read-side section
-    /// and pin the attempt was collected under must still be held.
+    /// the attempt was collected under must still be held.
     pub(crate) unsafe fn validate(&self) -> bool {
         self.edges.iter().all(|edge| match *edge {
             ScanEdge::Live { parent, dir, child } => {
@@ -526,14 +621,6 @@ impl<K: Ord + Clone, V: Clone> ScanAttempt<K, V> {
     }
 }
 
-/// Read-side guards for one ordered-read attempt: the session's EBR pin
-/// (`Epoch` mode) plus its RCU read lock, bundled so the forest can hold
-/// one per shard for the whole fan-out's collect-then-validate window.
-pub(crate) struct OrderedReadGuard<'s, 't, F: RcuFlavor> {
-    _pin: Option<EbrGuard<'s, 't>>,
-    _rcu: RcuReadGuard<'s, F::Handle<'t>>,
-}
-
 /// The paper's `validate` (lines 33–38): all checks are on locked nodes'
 /// local fields.
 ///
@@ -564,8 +651,7 @@ where
     /// inside a read-side critical section, returning
     /// `(prev, tag, curr, direction)`.
     ///
-    /// Must be called inside an RCU read-side critical section (and with
-    /// the EBR pin held in `Epoch` mode).
+    /// Must be called inside an RCU read-side critical section.
     fn search(&self, key: &K) -> (*mut Node<K, V>, u64, *mut Node<K, V>, Dir) {
         debug_assert!(self.rcu.in_read_section());
         let mut prev = self.tree.root;
@@ -580,6 +666,7 @@ where
                 if curr.is_null() {
                     break;
                 }
+                (*curr).check_live();
                 let cmp = (*curr).key.cmp_key(key);
                 if cmp == CmpOrdering::Equal {
                     break;
@@ -597,7 +684,6 @@ where
     /// The paper's `contains` (lines 16–20): returns the value stored with
     /// `key`, if present. Wait-free.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        let _pin = self.ebr.as_ref().map(|h| h.pin());
         let _guard = self.rcu.read_lock();
         let (_prev, _tag, curr, _dir) = self.search(key);
         // Widens the window between locating the node and reading its
@@ -610,16 +696,18 @@ where
         }
         // SAFETY: `curr` was reachable during the read-side section
         // (Lemma 2) and its value never changes; it cannot be freed while
-        // we are inside the section (Leak mode never frees; Epoch mode is
-        // covered by the pin).
-        unsafe { (*curr).value.clone() }
+        // we are inside the section (Leak mode never frees; Epoch mode
+        // frees only after a grace period).
+        unsafe {
+            (*curr).check_live();
+            (*curr).value.clone()
+        }
     }
 
     /// Returns `true` iff `key` is present. Wait-free, and — unlike
     /// [`get`](Self::get) — never touches the value: a presence check must
     /// not pay for a `V::clone` it immediately drops.
     pub fn contains(&mut self, key: &K) -> bool {
-        let _pin = self.ebr.as_ref().map(|h| h.pin());
         let _guard = self.rcu.read_lock();
         let (_prev, _tag, curr, _dir) = self.search(key);
         // Same window as `get`: the lincheck chaos sweeps drive both
@@ -628,14 +716,11 @@ where
         !curr.is_null()
     }
 
-    /// Enters the read-side context ordered reads traverse under — the
-    /// EBR pin (`Epoch` mode) and the RCU read lock — bundled so the
-    /// forest can hold one per shard across a fan-out scan.
-    pub(crate) fn ordered_read_enter(&self) -> OrderedReadGuard<'_, 't, F> {
-        OrderedReadGuard {
-            _pin: self.ebr.as_ref().map(|h| h.pin()),
-            _rcu: self.rcu.read_lock(),
-        }
+    /// Enters this session's read-side section, which ordered reads
+    /// traverse under; the forest holds one per shard across a fan-out
+    /// scan.
+    pub(crate) fn read_lock(&self) -> RcuReadGuard<'_, F::Handle<'t>> {
+        self.rcu.read_lock()
     }
 
     /// Walks the tree in order over `[lo, hi]`, recording every traversed
@@ -643,8 +728,8 @@ where
     /// validates afterwards, possibly together with other shards'
     /// attempts.
     ///
-    /// Must be called inside this session's read-side context
-    /// ([`ordered_read_enter`](Self::ordered_read_enter)).
+    /// Must be called inside this session's read-side section
+    /// ([`read_lock`](Self::read_lock)).
     pub(crate) fn collect_range(&self, lo: &K, hi: &K) -> ScanAttempt<K, V> {
         debug_assert!(self.rcu.in_read_section());
         let mut attempt = ScanAttempt::new();
@@ -661,11 +746,12 @@ where
         while let Some(frame) = stack.pop() {
             // SAFETY: every pushed pointer was read from a live edge
             // inside the read-side section, so it stays allocated (Leak
-            // never frees; Epoch is covered by the caller's pin).
+            // never frees; Epoch frees only after a grace period).
             unsafe {
                 match frame {
                     Frame::Enter(n) => {
                         chaos::point!("citrus/scan/step");
+                        (*n).check_live();
                         stack.push(Frame::Visit(n));
                         // Keys below `n` can only matter when n.key > lo
                         // (sentinels prune themselves: −∞ is never
@@ -704,7 +790,7 @@ where
     /// traversed edge; the attempt's hit list ends holding the candidate —
     /// the nearest real key strictly beyond the probe — if one exists.
     ///
-    /// Must be called inside this session's read-side context, like
+    /// Must be called inside this session's read-side section, like
     /// [`collect_range`](Self::collect_range).
     pub(crate) fn collect_directed(&self, key: &K, side: Dir) -> ScanAttempt<K, V> {
         debug_assert!(self.rcu.in_read_section());
@@ -715,6 +801,7 @@ where
         unsafe {
             loop {
                 chaos::point!("citrus/scan/step");
+                (*n).check_live();
                 let cmp = (*n).key.cmp_key(key);
                 // Successor: any node with key > probe is a candidate, and
                 // the search continues left toward smaller ones; otherwise
@@ -749,7 +836,7 @@ where
     }
 
     /// Runs one ordered read to a validated completion: collect inside
-    /// the read-side context, validate every crossed edge, extract —
+    /// the read-side section, validate every crossed edge, extract —
     /// restarting from scratch whenever a concurrent update moved one.
     /// Restarts are bounded by interference: each one implies a
     /// concurrent update completed inside the attempt's window (DESIGN.md
@@ -761,16 +848,16 @@ where
     ) -> T {
         loop {
             let out = {
-                let _guard = self.ordered_read_enter();
+                let _guard = self.read_lock();
                 let attempt = collect(self);
                 chaos::point!("citrus/scan/validate");
                 // The mutant is a test-only planted bug (chaos builds
                 // only): skipping validation can tear the read across a
                 // concurrent update — the exploration suite must find the
                 // resulting non-linearizable result.
-                // SAFETY: `_guard` still holds the read-side section and
-                // pin `collect` ran under.
-                if chaos::mutant_enabled("citrus/scan/skip-validation")
+                // SAFETY: `_guard` still holds the read-side section
+                // `collect` ran under.
+                if self.tree.mutants.enabled("citrus/scan/skip-validation")
                     || unsafe { attempt.validate() }
                 {
                     Some(extract(&attempt))
@@ -833,41 +920,59 @@ where
     /// The paper's `insert` (lines 21–32). Returns `true` iff `key` was
     /// absent.
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        let _pin = self.ebr.as_ref().map(|h| h.pin());
+        let backoff = Backoff::new();
         // The payload is moved out only on the path that returns, so every
         // retry still owns it — no `Option` dance needed.
         let payload = (key, value);
         loop {
-            // Locks are acquired *outside* the read-side critical section
-            // (avoiding RCU deadlock), so the guard is scoped to the search.
-            let (prev, tag, curr, dir) = {
+            // Search, lock `prev` and validate it inside one read-side
+            // section. Once validated, the locked `prev` is reachable and
+            // cannot be unlinked without its lock, so it stays allocated
+            // after the section ends.
+            let step = {
                 let _guard = self.rcu.read_lock();
-                self.search(&payload.0)
-            };
-            if !curr.is_null() {
-                // Line 24: the key was found.
-                return false;
-            }
-            // The search→lock window: `prev` may be unlinked or gain a
-            // child before we lock it — exactly what validate re-checks.
-            chaos::point!("citrus/insert/before-lock");
-            // SAFETY: `prev` stays allocated (reclamation protocol); locking
-            // an unlinked node is harmless — validation will fail.
-            unsafe {
+                let (prev, tag, curr, dir) = self.search(&payload.0);
+                if !curr.is_null() {
+                    // Line 24: the key was found.
+                    return false;
+                }
+                // The search→lock window: `prev` may be unlinked or gain a
+                // child before we lock it — exactly what validate re-checks.
+                chaos::point!("citrus/insert/before-lock");
+                // Declared after `_guard`, so a set that is not moved out
+                // unlocks before the section ends.
                 let mut locks = LockSet::new();
-                locks.acquire(prev);
-                self.tree.metrics.record_locks(self.stripe, 1);
-                if validate(prev, tag, ptr::null_mut(), dir)
-                    && !chaos::should_fail!("citrus/insert/force-restart")
-                {
+                // SAFETY: `prev` was reached inside this section; once
+                // locked, every check below is on its local fields.
+                unsafe {
+                    if !locks.try_acquire(prev) {
+                        Step::Busy
+                    } else {
+                        self.tree.metrics.record_locks(self.stripe, 1);
+                        chaos::point!("citrus/insert/locked-in-section");
+                        if validate(prev, tag, ptr::null_mut(), dir)
+                            && !chaos::should_fail!("citrus/insert/force-restart")
+                        {
+                            Step::Locked((locks, prev, dir))
+                        } else {
+                            Step::Invalid
+                        }
+                    }
+                }
+            };
+            match step {
+                Step::Locked((_locks, prev, dir)) => {
                     chaos::point!("citrus/insert/after-validate");
                     let (key, value) = payload;
                     let node = Node::new_leaf(KeyBound::Key(key), Some(value));
-                    // Line 29: publish the new leaf.
-                    (*prev).set_child(dir, node);
+                    // Line 29: publish the new leaf; `_locks` releases
+                    // `prev` on return.
+                    // SAFETY: `prev` is locked and validated.
+                    unsafe { (*prev).set_child(dir, node) };
                     return true;
                 }
-                // Line 32: validation failed; `locks` releases, retry.
+                // Line 32: validation failed or `prev` was busy; retry.
+                failed => failed.back_off(&backoff),
             }
             self.stats
                 .insert_retries
@@ -879,38 +984,62 @@ where
     /// The paper's `delete` (lines 42–84). Returns `true` iff `key` was
     /// present.
     pub fn remove(&mut self, key: &K) -> bool {
-        let _pin = self.ebr.as_ref().map(|h| h.pin());
+        let backoff = Backoff::new();
         loop {
-            let (prev, _tag, curr, dir) = {
+            // Search, lock `prev` and validate the `prev → curr` edge
+            // inside one read-side section, as in `insert`.
+            let step = {
                 let _guard = self.rcu.read_lock();
-                self.search(key)
-            };
-            if curr.is_null() {
-                // Line 45: the key was not found.
-                return false;
-            }
-            // The search→lock window, as in `insert`.
-            chaos::point!("citrus/remove/before-lock");
-            // SAFETY: nodes stay allocated for the whole operation (Leak
-            // never frees; Epoch covered by `_pin`); every field write
-            // below is to a node this thread has locked, and `locks`
-            // releases them — in reverse acquisition order, matching the
-            // paper's unlock sequence — on every exit, unwinding included.
-            unsafe {
+                let (prev, _tag, curr, dir) = self.search(key);
+                if curr.is_null() {
+                    // Line 45: the key was not found.
+                    return false;
+                }
+                // The search→lock window, as in `insert`.
+                chaos::point!("citrus/remove/before-lock");
                 let mut locks = LockSet::new();
-                locks.acquire(prev);
-                locks.acquire(curr);
-                self.tree.metrics.record_locks(self.stripe, 2);
-                if !validate(prev, 0, curr, dir)
-                    || chaos::should_fail!("citrus/remove/force-restart")
-                {
-                    drop(locks);
-                    self.stats
-                        .remove_retries
-                        .set(self.stats.remove_retries.get() + 1);
-                    self.tree.metrics.record_remove_retry(self.stripe);
+                // SAFETY: `prev` and `curr` were reached inside this
+                // section; `locks` unlocks before it ends unless moved out.
+                unsafe {
+                    if !locks.try_acquire(prev) {
+                        Step::Busy
+                    } else {
+                        chaos::point!("citrus/remove/locked-in-section");
+                        if validate(prev, 0, curr, dir)
+                            && !chaos::should_fail!("citrus/remove/force-restart")
+                        {
+                            Step::Locked((locks, prev, curr, dir))
+                        } else {
+                            Step::Invalid
+                        }
+                    }
+                }
+            };
+            let (mut locks, prev, curr, dir) = match step {
+                Step::Locked(held) => held,
+                failed => {
+                    failed.back_off(&backoff);
+                    self.count_remove_retry();
                     continue;
                 }
+            };
+            // SAFETY: outside the section every node touched is locked by
+            // this thread, or a child of a node it locked and validated —
+            // unlinking that child needs the held lock, so it stays
+            // allocated. Every field write below is to a node this thread
+            // has locked, and `locks` releases them — in reverse
+            // acquisition order, matching the paper's unlock sequence — on
+            // every exit, unwinding included.
+            unsafe {
+                // `curr` is such an anchored child, so waiting for its lock
+                // outside the section is safe even while a two-child delete
+                // holds it across `synchronize_rcu`.
+                locks.acquire(curr);
+                self.tree.metrics.record_locks(self.stripe, 2);
+                debug_assert!(
+                    !(*curr).is_marked(),
+                    "marking a child needs its parent's lock, which we held"
+                );
                 chaos::point!("citrus/remove/after-validate");
                 let left = (*curr).child(Dir::Left);
                 let right = (*curr).child(Dir::Right);
@@ -928,28 +1057,53 @@ where
                     return true;
                 }
 
-                // Lines 57–64: two children — find the successor by walking
-                // the leftmost branch of `curr`'s right subtree. No
-                // read-side critical section is needed: the traversal never
-                // consults keys.
-                let mut prev_succ = curr;
-                let mut succ = right;
-                let mut next = (*succ).child(Dir::Left);
-                while !next.is_null() {
-                    prev_succ = succ;
-                    succ = next;
-                    next = (*next).child(Dir::Left);
-                }
+                // Lines 57–68: find the successor by walking the leftmost
+                // branch of `curr`'s right subtree, and lock its parent
+                // (unless that is `curr`, line 66). Only `right` is
+                // anchored by a held lock, so the walk, the lock and its
+                // validation happen inside a read-side section.
+                let step = {
+                    let _guard = self.rcu.read_lock();
+                    let mut prev_succ = curr;
+                    let mut succ = right;
+                    let mut next = (*succ).child(Dir::Left);
+                    while !next.is_null() {
+                        prev_succ = succ;
+                        succ = next;
+                        next = (*next).child(Dir::Left);
+                    }
+                    if prev_succ == curr {
+                        Step::Locked((prev_succ, succ))
+                    } else if !locks.try_acquire(prev_succ) {
+                        locks.release();
+                        Step::Busy
+                    } else {
+                        chaos::point!("citrus/remove/succ-parent-locked-in-section");
+                        if !(*prev_succ).is_marked() && (*prev_succ).child(Dir::Left) == succ {
+                            Step::Locked((prev_succ, succ))
+                        } else {
+                            // Unlock while the section still covers
+                            // `prev_succ`.
+                            locks.release();
+                            Step::Invalid
+                        }
+                    }
+                };
+                let (prev_succ, succ) = match step {
+                    Step::Locked(pair) => pair,
+                    failed => {
+                        failed.back_off(&backoff);
+                        self.count_remove_retry();
+                        continue;
+                    }
+                };
                 // Line 65.
                 let succ_dir = if prev_succ == curr {
                     Dir::Right
                 } else {
                     Dir::Left
                 };
-                // Lines 66–68: do not lock `curr` twice.
-                if prev_succ != curr {
-                    locks.acquire(prev_succ);
-                }
+                // `succ` is an anchored child of `prev_succ` (or `curr`).
                 locks.acquire(succ);
                 self.tree
                     .metrics
@@ -990,7 +1144,8 @@ where
                     // old successor while a pre-existing reader may be
                     // about to traverse it — the exploration suite must
                     // find the resulting lost read.
-                    if !chaos::mutant_enabled("citrus/remove/skip-synchronize") {
+                    let synchronized = !self.tree.mutants.enabled("citrus/remove/skip-synchronize");
+                    if synchronized {
                         self.rcu.synchronize();
                     }
                     chaos::point!("citrus/remove/after-synchronize");
@@ -1014,18 +1169,20 @@ where
                     // Lines 82–83: release all locks (reverse acquisition
                     // order: node, succ, prev_succ, curr, prev).
                     drop(locks);
+                    if synchronized {
+                        // Every listed node was unlinked before that grace
+                        // period began.
+                        self.free_retired();
+                    }
                     self.retire(curr);
                     self.retire(succ);
                     return true;
                 }
 
-                // Line 84: validation failed; `locks` releases all five,
+                // Line 84: validation failed; `locks` releases all four,
                 // retry.
             }
-            self.stats
-                .remove_retries
-                .set(self.stats.remove_retries.get() + 1);
-            self.tree.metrics.record_remove_retry(self.stripe);
+            self.count_remove_retry();
         }
     }
 
@@ -1034,45 +1191,110 @@ where
         &self.stats
     }
 
-    /// Hands an unlinked node to the tree's reclamation scheme.
+    fn count_remove_retry(&self) {
+        self.stats
+            .remove_retries
+            .set(self.stats.remove_retries.get() + 1);
+        self.tree.metrics.record_remove_retry(self.stripe);
+    }
+
+    /// Queues an unlinked node on the session's retire list and hands the
+    /// list on once it holds [`RETIRE_FLUSH`] nodes.
     ///
     /// # Safety-relevant invariant
     ///
     /// `node` must be unreachable from the root (just unlinked by this
     /// thread while holding the relevant locks).
-    fn retire(&self, node: *mut Node<K, V>) {
-        match &self.ebr {
-            Some(handle) => {
-                // SAFETY: `node` is unlinked and Box-allocated; concurrent
-                // holders are covered by their pins.
-                unsafe { handle.retire(node) };
-            }
-            None => {
-                let mut local = self.graveyard.borrow_mut();
-                local.push(node);
-                if local.len() >= GRAVEYARD_FLUSH {
-                    self.flush_graveyard(&mut local);
-                }
-            }
+    fn retire(&mut self, node: *mut Node<K, V>) {
+        self.retired.push(node);
+        if self.retired.len() >= RETIRE_FLUSH {
+            self.flush_retired();
+        }
+    }
+}
+
+/// What one locking step of an update found.
+enum Step<T> {
+    /// The locks are held and validated; here is what they cover.
+    Locked(T),
+    /// A lock wanted inside a read-side section was held by another
+    /// thread; back off and re-search.
+    Busy,
+    /// Validation failed (or a chaos build forced a restart); re-search.
+    Invalid,
+}
+
+impl<T> Step<T> {
+    /// Backs off before the re-search if a lock was busy. The caller has
+    /// already left the read-side section: waiting for the lock inside it
+    /// could deadlock against a delete that holds the lock across
+    /// `synchronize_rcu`.
+    fn back_off(&self, backoff: &Backoff) {
+        if let Step::Busy = self {
+            // Under a deterministic schedule, park until some thread
+            // releases a lock (or otherwise signals progress).
+            chaos::blocked!("citrus/update/lock-busy");
+            backoff.snooze();
         }
     }
 }
 
 impl<K, V, F: RcuFlavor> CitrusSession<'_, K, V, F> {
-    /// Moves the session's buffered `Leak`-mode nodes to the tree's
-    /// graveyard.
-    fn flush_graveyard(&self, local: &mut Vec<*mut Node<K, V>>) {
-        if let ReclaimInner::Leak(shared) = &self.tree.reclaim {
-            // SAFETY: buffered nodes were unlinked by this session and
-            // are Box-allocated (`retire`'s invariant).
-            unsafe { shared.push_batch(local) };
+    /// Frees the whole retire list in `Epoch` mode (a no-op in `Leak`
+    /// mode, whose list goes to the graveyard).
+    ///
+    /// # Safety
+    ///
+    /// This session must have completed a `synchronize_rcu` that began
+    /// after the newest listed node was unlinked.
+    unsafe fn free_retired(&mut self) {
+        let tree = self.tree;
+        if let ReclaimInner::Epoch(freed) = &tree.reclaim {
+            let n = self.retired.len() as u64;
+            for node in self.retired.drain(..) {
+                // SAFETY: unlinked by this session (`retire`'s invariant)
+                // and past a grace period (this function's contract).
+                unsafe { tree.free_node(node) };
+            }
+            freed.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Hands the retire list on: `Leak` mode moves it to the tree's
+    /// graveyard; `Epoch` mode waits one grace period and frees it.
+    fn flush_retired(&mut self) {
+        if self.retired.is_empty() {
+            return;
+        }
+        match &self.tree.reclaim {
+            ReclaimInner::Leak(graveyard) => {
+                // SAFETY: listed nodes were unlinked by this session and
+                // are Box-allocated (`retire`'s invariant).
+                unsafe { graveyard.push_batch(&mut self.retired) };
+            }
+            ReclaimInner::Epoch(_) => {
+                // The mutant is a test-only planted bug (chaos builds
+                // only): freeing without the grace period lets a reader
+                // still inside its section reach a freed node — the
+                // exploration suite must catch the use after free.
+                if !self
+                    .tree
+                    .mutants
+                    .enabled("citrus/reclaim/free-before-grace-period")
+                {
+                    self.rcu.synchronize();
+                }
+                // SAFETY: that grace period began after every listed node
+                // was unlinked.
+                unsafe { self.free_retired() };
+            }
         }
     }
 }
 
 impl<K, V, F: RcuFlavor> Drop for CitrusSession<'_, K, V, F> {
     fn drop(&mut self) {
-        self.flush_graveyard(&mut self.graveyard.borrow_mut());
+        self.flush_retired();
     }
 }
 

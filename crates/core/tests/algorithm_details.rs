@@ -51,10 +51,12 @@ fn synchronize_only_on_two_child_deletes() {
 }
 
 /// Grace-period count on the tree's RCU domain equals the number of
-/// successful two-child deletes across all sessions.
+/// successful two-child deletes across all sessions. `Leak` mode: in
+/// `Epoch` mode a session also waits for grace periods of its own to
+/// free removed nodes (`reclaim_lifecycle.rs` counts those).
 #[test]
 fn grace_periods_track_successor_moves() {
-    let tree = Tree::new();
+    let tree: Tree = CitrusTree::with_reclaim(ReclaimMode::Leak);
     let mut moves = 0;
     {
         let mut s = tree.session();

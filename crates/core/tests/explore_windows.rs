@@ -13,7 +13,16 @@
 //! deliberately skipped (`citrus/remove/skip-synchronize`), the
 //! explorer must find a reader that misses a key that was never absent —
 //! and the failing schedule it reports, replayed verbatim, must fail
-//! again (and pass once the mutant is disabled).
+//! again (and pass on a tree built without the mutant). Each mutant is
+//! enabled on the trees its own test builds, so the sweeps beside it run
+//! the real code at any test parallelism.
+//!
+//! The update-protocol windows (DESIGN.md §7) sweep the locks an
+//! updater takes inside a read-side section against a two-child delete
+//! that holds its locks across `synchronize_rcu`, and a session freeing
+//! its retire list against a concurrent reader and scan. In chaos builds
+//! a freed node stays allocated and marked, so a premature free shows up
+//! as a reader's "use after free" panic.
 //!
 //! Replay any failure here with `CITRUS_SCHEDULE=<schedule> cargo test
 //! --features chaos -p citrus <test>`.
@@ -22,28 +31,13 @@
 
 use citrus::{CitrusForest, CitrusTree, GlobalLockRcu, ReclaimMode};
 use citrus_api::testkit::{
-    enable_mutant, explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig,
-    Explorer, ScenarioOp, ScheduleScenario,
+    explore_schedules_with, replay_schedule_with, stress_watchdog, ExploreConfig, Explorer,
+    ScenarioOp, ScheduleScenario,
 };
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 type Tree = CitrusTree<u64, u64, GlobalLockRcu>;
 type Forest = CitrusForest<u64, u64, GlobalLockRcu>;
-
-/// Mutants are process-wide switches and the harness runs this file's
-/// tests on parallel threads, so a clean sweep overlapping a sibling's
-/// mutant would explore the mutated code. Every test holds this lock:
-/// sweeps share it, tests that enable a mutant hold it exclusively.
-static MUTANTS: RwLock<()> = RwLock::new(());
-
-fn sweep_lock() -> RwLockReadGuard<'static, ()> {
-    MUTANTS.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn mutant_lock() -> RwLockWriteGuard<'static, ()> {
-    MUTANTS.write().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Pinned minimal schedule (harvested from the mutant sweep) driving the
 /// reader past the victim before the splice and back through the
@@ -53,6 +47,15 @@ const PINNED_INLINE_DELETE_SCHEDULE: &str = "1110";
 
 fn make_inline() -> Tree {
     Tree::with_reclaim(ReclaimMode::Leak)
+}
+
+/// [`make_inline`] with one planted bug enabled on every tree it builds.
+fn make_inline_mutant(mutant: &'static str) -> impl Fn() -> Tree {
+    move || {
+        let tree = make_inline();
+        tree.mutants().enable(mutant);
+        tree
+    }
 }
 
 fn validate(tree: &mut Tree) -> Result<(), String> {
@@ -81,7 +84,6 @@ fn bounded(max_preemptions: usize) -> ExploreConfig {
 #[test]
 fn inline_delete_window_sweep_is_clean() {
     let _wd = stress_watchdog("inline_delete_window_sweep_is_clean");
-    let _mutants = sweep_lock();
     let scenario = delete_window_scenario("inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -118,7 +120,6 @@ fn inline_delete_window_sweep_is_clean() {
 #[test]
 fn explored_schedule_count_is_stable() {
     let _wd = stress_watchdog("explored_schedule_count_is_stable");
-    let _mutants = sweep_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-count");
     let first = explore_schedules_with(make_inline, &scenario, bounded(1), validate);
     first.assert_clean(scenario.name);
@@ -129,7 +130,7 @@ fn explored_schedule_count_is_stable() {
     );
     if first.completed && second.completed {
         assert_eq!(
-            first.schedules, 21,
+            first.schedules, 24,
             "bound-1 schedule count drifted — a yield point appeared or vanished \
              in the delete window; re-harvest if deliberate"
         );
@@ -139,10 +140,9 @@ fn explored_schedule_count_is_stable() {
 #[test]
 fn inline_delete_skip_synchronize_mutant_is_caught() {
     let _wd = stress_watchdog("inline_delete_skip_synchronize_mutant_is_caught");
-    let _mutants = mutant_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-mutant");
-    let guard = enable_mutant("citrus/remove/skip-synchronize");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let mutated = make_inline_mutant("citrus/remove/skip-synchronize");
+    let report = explore_schedules_with(&mutated, &scenario, bounded(2), validate);
     let failure = report
         .failure
         .expect("skipping the delete-path synchronize_rcu must be caught");
@@ -157,14 +157,13 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
         failure.reason
     );
     // The reported schedule is a replayable witness...
-    let rerun = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
+    let rerun = replay_schedule_with(&mutated, &scenario, &failure.schedule, validate);
     assert!(
         rerun.verdict.is_err() || !rerun.outcome.clean(),
         "replaying the failing schedule must reproduce the failure"
     );
     // ...and the failure is the mutant's: the same schedule passes with
     // the real synchronize_rcu back in place.
-    drop(guard);
     let fixed = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
     assert!(
         fixed.outcome.clean() && fixed.verdict.is_ok(),
@@ -182,7 +181,6 @@ fn inline_delete_skip_synchronize_mutant_is_caught() {
 #[test]
 fn pinned_inline_delete_schedule_regression() {
     let _wd = stress_watchdog("pinned_inline_delete_schedule_regression");
-    let _mutants = mutant_lock();
     let scenario = delete_window_scenario("inline-two-child-delete-pinned");
     let run = replay_schedule_with(
         make_inline,
@@ -196,14 +194,12 @@ fn pinned_inline_delete_schedule_regression() {
         run.outcome.failure_reason(),
         run.verdict
     );
-    let guard = enable_mutant("citrus/remove/skip-synchronize");
     let mutant = replay_schedule_with(
-        make_inline,
+        make_inline_mutant("citrus/remove/skip-synchronize"),
         &scenario,
         PINNED_INLINE_DELETE_SCHEDULE,
         validate,
     );
-    drop(guard);
     assert!(
         mutant.verdict.is_err() || !mutant.outcome.clean(),
         "pinned schedule no longer exercises the delete window — re-harvest it"
@@ -227,7 +223,6 @@ fn scan_window_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn scan_vs_inline_two_child_delete_sweep_is_clean() {
     let _wd = stress_watchdog("scan_vs_inline_two_child_delete_sweep_is_clean");
-    let _mutants = sweep_lock();
     let scenario = scan_window_scenario("scan-vs-inline-two-child-delete");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
@@ -267,10 +262,9 @@ fn torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn scan_skip_validation_mutant_is_caught() {
     let _wd = stress_watchdog("scan_skip_validation_mutant_is_caught");
-    let _mutants = mutant_lock();
     let scenario = torn_scan_scenario("torn-scan-mutant");
-    let guard = enable_mutant("citrus/scan/skip-validation");
-    let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
+    let mutated = make_inline_mutant("citrus/scan/skip-validation");
+    let report = explore_schedules_with(&mutated, &scenario, bounded(2), validate);
     let failure = report
         .failure
         .expect("skipping scan validation must be caught");
@@ -285,12 +279,11 @@ fn scan_skip_validation_mutant_is_caught() {
         "the witness must be a linearizability violation, got: {}",
         failure.reason
     );
-    let rerun = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
+    let rerun = replay_schedule_with(&mutated, &scenario, &failure.schedule, validate);
     assert!(
         rerun.verdict.is_err() || !rerun.outcome.clean(),
         "replaying the failing schedule must reproduce the failure"
     );
-    drop(guard);
     let fixed = replay_schedule_with(make_inline, &scenario, &failure.schedule, validate);
     assert!(
         fixed.outcome.clean() && fixed.verdict.is_ok(),
@@ -304,10 +297,175 @@ fn scan_skip_validation_mutant_is_caught() {
 #[test]
 fn torn_scan_sweep_is_clean_with_validation() {
     let _wd = stress_watchdog("torn_scan_sweep_is_clean_with_validation");
-    let _mutants = sweep_lock();
     let scenario = torn_scan_scenario("torn-scan-validated");
     let report = explore_schedules_with(make_inline, &scenario, bounded(2), validate);
     report.assert_clean(scenario.name);
+}
+
+// ---- Update protocol and RCU reclamation (DESIGN.md §7) ------------
+
+/// `Epoch` mode: every removed node is freed after its remover's next
+/// grace period.
+fn make_epoch() -> Tree {
+    Tree::with_reclaim(ReclaimMode::Epoch)
+}
+
+/// Sweeps `scenario` on `Epoch` trees at bound 2, asserts it is clean,
+/// and asserts a complete sweep reached every one of `points`.
+fn sweep_epoch_window(scenario: &ScheduleScenario, points: &[&str]) {
+    let report = explore_schedules_with(make_epoch, scenario, bounded(2), validate);
+    report.assert_clean(scenario.name);
+    if !report.completed {
+        return;
+    }
+    assert!(report.schedules > 1, "sweep must enumerate real schedules");
+    for point in points {
+        assert!(
+            report.points_hit.contains(*point),
+            "{}: sweep never reached {point}; hit: {:?}",
+            scenario.name,
+            report.points_hit
+        );
+    }
+}
+
+/// insert(22) lands under 25 — the successor that remove(20) copies and
+/// then unlinks after its grace period. The insert takes `prev` with
+/// `try_lock` inside its read-side section and validates it there, so
+/// every interleaving either links 22 before the delete locks 25 (whose
+/// validation then fails), finds the lock busy and re-searches, or
+/// validates against the post-delete shape. No schedule may wait for a
+/// lock inside a section the delete's `synchronize_rcu` is waiting for.
+#[test]
+fn insert_in_section_lock_vs_two_child_delete_sweep_is_clean() {
+    let _wd = stress_watchdog("insert_in_section_lock_vs_two_child_delete_sweep_is_clean");
+    let scenario = ScheduleScenario::new("insert-in-section-lock-vs-two-child-delete")
+        .prefill(&[(20, 200), (10, 100), (30, 300), (25, 250)])
+        .thread(&[ScenarioOp::Remove(20)])
+        .thread(&[ScenarioOp::Insert(22, 220), ScenarioOp::Get(25)]);
+    sweep_epoch_window(
+        &scenario,
+        &[
+            "citrus/insert/locked-in-section",
+            "citrus/remove/before-synchronize",
+            "citrus/update/lock-busy",
+            "rcu-global-lock/synchronize/reader-wait",
+        ],
+    );
+}
+
+/// remove(30) races remove(20), whose successor's parent is 30: each
+/// delete takes a lock inside a read-side section that the other holds
+/// across its own window (30 as the first delete's `prev_succ`, 20 as
+/// the second's `prev`), so the sweep covers a remove between its
+/// in-section `try_lock` and validation while the two-child delete
+/// synchronizes.
+#[test]
+fn remove_in_section_lock_vs_two_child_delete_sweep_is_clean() {
+    let _wd = stress_watchdog("remove_in_section_lock_vs_two_child_delete_sweep_is_clean");
+    let scenario = ScheduleScenario::new("remove-in-section-lock-vs-two-child-delete")
+        .prefill(&[(20, 200), (10, 100), (30, 300), (25, 250)])
+        .thread(&[ScenarioOp::Remove(20)])
+        .thread(&[ScenarioOp::Remove(30), ScenarioOp::Get(25)]);
+    sweep_epoch_window(
+        &scenario,
+        &[
+            "citrus/remove/locked-in-section",
+            "citrus/remove/succ-parent-locked-in-section",
+            "citrus/remove/before-synchronize",
+            "citrus/update/lock-busy",
+        ],
+    );
+}
+
+/// remove(20) holds 50 (its `prev`) across `synchronize_rcu`; remove(50)
+/// locks the sentinel above 50 inside its section, validates, leaves the
+/// section and then waits for 50 — an anchored child, which cannot be
+/// unlinked or freed while its parent's lock is held. The wait happens
+/// outside every read-side section, so the grace period completes and
+/// both deletes finish in every interleaving.
+#[test]
+fn anchored_child_wait_vs_synchronize_sweep_is_clean() {
+    let _wd = stress_watchdog("anchored_child_wait_vs_synchronize_sweep_is_clean");
+    let scenario = ScheduleScenario::new("anchored-child-wait-vs-synchronize")
+        .prefill(&[(50, 500), (20, 200), (10, 100), (30, 300), (25, 250)])
+        .thread(&[ScenarioOp::Remove(20)])
+        .thread(&[ScenarioOp::Remove(50)]);
+    sweep_epoch_window(
+        &scenario,
+        &[
+            "citrus/remove/before-synchronize",
+            "sync/spin/lock-wait",
+            "rcu-global-lock/synchronize/scan-step",
+        ],
+    );
+}
+
+/// remove(10) unlinks a leaf, and its session frees the node when it
+/// drops at the end of the thread — after the grace period it waits for
+/// there — while a reader looks 10 up and a scan walks across it.
+fn retire_list_free_scenario(name: &'static str) -> ScheduleScenario {
+    ScheduleScenario::new(name)
+        .prefill(&[(20, 200), (10, 100), (30, 300)])
+        .thread(&[ScenarioOp::Remove(10)])
+        .thread(&[ScenarioOp::Get(10)])
+        .thread(&[ScenarioOp::Scan(0, 100)])
+}
+
+#[test]
+fn retire_list_free_vs_reader_and_scan_sweep_is_clean() {
+    let _wd = stress_watchdog("retire_list_free_vs_reader_and_scan_sweep_is_clean");
+    let scenario = retire_list_free_scenario("retire-list-free-vs-reader-and-scan");
+    sweep_epoch_window(
+        &scenario,
+        &[
+            "citrus/search/step",
+            "citrus/scan/step",
+            "rcu-global-lock/synchronize/reader-wait",
+        ],
+    );
+}
+
+/// The reclamation harness has teeth: a session that frees its retire
+/// list without waiting for the grace period must be caught — a reader
+/// still inside its section reaches the freed node — and the same
+/// schedule must pass on a tree built without the mutant.
+#[test]
+fn free_before_grace_period_mutant_is_caught() {
+    let _wd = stress_watchdog("free_before_grace_period_mutant_is_caught");
+    let scenario = retire_list_free_scenario("free-before-grace-period-mutant");
+    let mutated = || {
+        let tree = make_epoch();
+        tree.mutants()
+            .enable("citrus/reclaim/free-before-grace-period");
+        tree
+    };
+    let report = explore_schedules_with(mutated, &scenario, bounded(2), validate);
+    let failure = report
+        .failure
+        .expect("freeing the retire list before the grace period must be caught");
+    eprintln!("[mutant] free-before-grace-period minimal schedule: {failure}");
+    assert_eq!(
+        failure.preemptions, 1,
+        "iterative deepening must find a 1-preemption witness first"
+    );
+    assert!(
+        failure.reason.contains("use after free"),
+        "the witness must be a reader reaching a freed node, got: {}",
+        failure.reason
+    );
+    let rerun = replay_schedule_with(mutated, &scenario, &failure.schedule, validate);
+    assert!(
+        !rerun.outcome.clean(),
+        "replaying the failing schedule must reproduce the failure"
+    );
+    let fixed = replay_schedule_with(make_epoch, &scenario, &failure.schedule, validate);
+    assert!(
+        fixed.outcome.clean() && fixed.verdict.is_ok(),
+        "the minimal schedule must pass once the grace period is restored: {:?} / {:?}",
+        fixed.outcome.failure_reason(),
+        fixed.verdict
+    );
 }
 
 // ---- Range-routed forest: partial fan-out windows (DESIGN.md §6j) -----
@@ -341,7 +499,6 @@ fn range_forest_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn range_forest_scan_window_sweep_is_clean() {
     let _wd = stress_watchdog("range_forest_scan_window_sweep_is_clean");
-    let _mutants = sweep_lock();
     let scenario = range_forest_scan_scenario("range-forest-scan-vs-two-child-delete");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -379,10 +536,13 @@ fn range_forest_torn_scan_scenario(name: &'static str) -> ScheduleScenario {
 #[test]
 fn range_forest_scan_skip_validation_mutant_is_caught() {
     let _wd = stress_watchdog("range_forest_scan_skip_validation_mutant_is_caught");
-    let _mutants = mutant_lock();
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-mutant");
-    let guard = enable_mutant("citrus/scan/skip-validation");
-    let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
+    let mutated = || {
+        let forest = make_range_forest();
+        forest.mutants().enable("citrus/scan/skip-validation");
+        forest
+    };
+    let report = explore_schedules_with(mutated, &scenario, bounded(2), validate_forest);
     let failure = report
         .failure
         .expect("skipping the partial fan-out's validation must be caught");
@@ -397,17 +557,11 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
         "the witness must be a linearizability violation, got: {}",
         failure.reason
     );
-    let rerun = replay_schedule_with(
-        make_range_forest,
-        &scenario,
-        &failure.schedule,
-        validate_forest,
-    );
+    let rerun = replay_schedule_with(mutated, &scenario, &failure.schedule, validate_forest);
     assert!(
         rerun.verdict.is_err() || !rerun.outcome.clean(),
         "replaying the failing schedule must reproduce the failure"
     );
-    drop(guard);
     let fixed = replay_schedule_with(
         make_range_forest,
         &scenario,
@@ -426,7 +580,6 @@ fn range_forest_scan_skip_validation_mutant_is_caught() {
 #[test]
 fn range_forest_torn_scan_sweep_is_clean_with_validation() {
     let _wd = stress_watchdog("range_forest_torn_scan_sweep_is_clean_with_validation");
-    let _mutants = sweep_lock();
     let scenario = range_forest_torn_scan_scenario("range-forest-torn-scan-validated");
     let report = explore_schedules_with(make_range_forest, &scenario, bounded(2), validate_forest);
     report.assert_clean(scenario.name);
@@ -459,7 +612,6 @@ fn keys_in_distinct_shards() -> (u64, u64) {
 #[test]
 fn forest_cross_shard_sweep_is_clean() {
     let _wd = stress_watchdog("forest_cross_shard_sweep_is_clean");
-    let _mutants = sweep_lock();
     let (a, b) = keys_in_distinct_shards();
     let scenario = ScheduleScenario::new("forest-cross-shard")
         .prefill(&[(a, 1)])
@@ -484,7 +636,6 @@ fn forest_cross_shard_sweep_is_clean() {
 #[test]
 fn explore_budget_marks_sweep_incomplete() {
     let _wd = stress_watchdog("explore_budget_marks_sweep_incomplete");
-    let _mutants = sweep_lock();
     let config = ExploreConfig {
         max_preemptions: 2,
         budget: Some(Duration::from_millis(0)),

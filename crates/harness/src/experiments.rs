@@ -5,7 +5,7 @@
 //! With [`BenchConfig::collect_metrics`] set (env `CITRUS_METRICS=1`, or
 //! `--metrics` on the `citrus-bench` binaries), each panel additionally
 //! snapshots the Citrus-internal metrics — RCU read sections and
-//! `synchronize_rcu` latency, reclamation limbo depth, tree lock/retry
+//! `synchronize_rcu` latency, tree lock/retry/synchronize
 //! counters — of the highest-thread-count point, attached as
 //! [`Report::metrics`].
 

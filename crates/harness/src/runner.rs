@@ -332,7 +332,7 @@ pub fn run_algo_observed(
                 }
                 run_throughput(&map, spec, rep_seed)
             }
-            Algo::CitrusEbr => {
+            Algo::CitrusEpoch => {
                 let map: CitrusTree<u64, u64, ScalableRcu> =
                     CitrusTree::with_reclaim(ReclaimMode::Epoch);
                 if let Some((registry, prefix)) = observe {
@@ -645,7 +645,7 @@ mod tests {
     #[test]
     fn citrus_both_flavors_run() {
         let spec = WorkloadSpec::new(400, OpMix::with_contains(50), 3, Duration::from_millis(30));
-        for algo in [Algo::Citrus, Algo::CitrusStdRcu, Algo::CitrusEbr] {
+        for algo in [Algo::Citrus, Algo::CitrusStdRcu, Algo::CitrusEpoch] {
             assert!(run_algo(algo, &spec, 1, 13) > 0.0);
         }
     }

@@ -237,9 +237,10 @@ pub enum Algo {
     /// Citrus over the classic global-lock RCU — the "standard RCU" line
     /// of Figure 8.
     CitrusStdRcu,
-    /// Citrus with epoch-based reclamation enabled (beyond-paper
-    /// configuration, used by the ablation bench).
-    CitrusEbr,
+    /// Citrus in `Epoch` mode: removed nodes freed after the remover's
+    /// next RCU grace period (beyond-paper configuration, used by the
+    /// ablation bench).
+    CitrusEpoch,
     /// Bronson-style optimistic AVL.
     Avl,
     /// Lazy skiplist.
@@ -268,7 +269,7 @@ impl Algo {
         match self {
             Algo::Citrus => "Citrus",
             Algo::CitrusStdRcu => "Citrus (standard RCU)",
-            Algo::CitrusEbr => "Citrus (EBR reclamation)",
+            Algo::CitrusEpoch => "Citrus (Epoch: RCU retire)",
             Algo::Avl => "AVL",
             Algo::Skiplist => "Skiplist",
             Algo::LockFree => "Lock-Free",

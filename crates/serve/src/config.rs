@@ -24,7 +24,8 @@ pub struct ServeConfig {
     pub retry_after: Duration,
     /// Worker-session churn: after every `recycle_ops` executed requests
     /// a shard worker drops its forest session (deregistering its RCU
-    /// reader slots and reclamation bags) and opens a fresh one —
+    /// reader slots and freeing its retire lists after a grace period)
+    /// and opens a fresh one —
     /// mid-batch when this is smaller than the batch width. `0` (the
     /// default) never recycles. The churn stress suite uses small values
     /// to hammer the registry paths; production-shaped configs leave it

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use citrus::{CitrusForest, ForestSession, RcuFlavor, ScalableRcu};
 use citrus_api::{ConcurrentMap, MapSession, OrderedMapSession};
-use citrus_chaos as chaos;
+use citrus_chaos::{self as chaos, Mutants};
 use citrus_obs::Stopwatch;
 
 use crate::config::ServeConfig;
@@ -343,13 +343,13 @@ struct Shard<K: 'static, V: 'static, F: RcuFlavor> {
 // (`Send`): from one claim holder to the next, and to whichever thread
 // drops the server. Field by field:
 // - `session`: a `ForestSession`, not `Send` because its per-shard RCU
-//   reader and EBR participant slots must not migrate inside a read-side
-//   section or an epoch pin. Every session operation enters and leaves
-//   both within the call, so between operations — the only points where
-//   a claim changes hands — read-side nesting and pin depth are zero and
-//   the slots carry no per-thread state. Its unflushed retire lists and
-//   `Leak`-mode graveyard hold unlinked nodes of `K` and `V`, which may
-//   be freed on any thread because `K, V: Send`. Its references to the
+//   reader slots must not migrate inside a read-side section. Every
+//   session operation enters and leaves its sections within the call, so
+//   between operations — the only points where a claim changes hands —
+//   read-side nesting is zero and the slots carry no per-thread state.
+//   Its retire lists hold unlinked nodes of `K` and `V`, which may be
+//   freed (after a grace period the next holder waits for) or handed to
+//   a graveyard on any thread because `K, V: Send`. Its references to the
 //   forest and its trees may cross threads because the forest is `Sync`
 //   for `K, V: Send + Sync`; the forest outlives the session (see
 //   `ServerInner::execute`).
@@ -466,7 +466,12 @@ where
             }
         });
         let stashed = executor.stashed.take();
-        if chaos::mutant_enabled("serve/drain/ack-before-apply") && req.is_write() {
+        if self
+            .forest
+            .mutants()
+            .enabled("serve/drain/ack-before-apply")
+            && req.is_write()
+        {
             if let Some(prev) = stashed {
                 let _ = exec(session, prev);
             }
@@ -692,6 +697,14 @@ where
     #[must_use]
     pub fn metrics(&self) -> &ServeMetrics {
         &self.inner.metrics
+    }
+
+    /// The planted bugs enabled on this server: its forest's set (see
+    /// [`CitrusForest::mutants`]), so a mutant enabled here reaches the
+    /// serve layer and the shard trees alike, and no other server.
+    #[must_use]
+    pub fn mutants(&self) -> &Mutants {
+        self.inner.forest.mutants()
     }
 
     /// The active configuration.

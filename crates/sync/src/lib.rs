@@ -1,7 +1,7 @@
 //! Synchronization substrate for the Citrus reproduction.
 //!
 //! This crate provides the low-level building blocks shared by the RCU
-//! implementations (`citrus-rcu`), the epoch-based reclamation domain
+//! implementations (`citrus-rcu`), the reclamation graveyard
 //! (`citrus-reclaim`), and the concurrent data structures themselves:
 //!
 //! * [`CachePadded`] — align-and-pad wrapper that gives each value its own

@@ -5,8 +5,8 @@
 use citrus_repro::prelude::*;
 
 fn main() {
-    // A Citrus tree over the paper's scalable RCU, with epoch-based
-    // reclamation (the safe default).
+    // A Citrus tree over the paper's scalable RCU; removed nodes are
+    // freed after an RCU grace period (the safe default).
     let tree: CitrusTree<u64, String> = CitrusTree::new();
 
     // Threads interact through per-thread sessions.

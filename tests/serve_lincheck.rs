@@ -144,12 +144,13 @@ fn serve_scan_range_inline() {
 /// get → None` — non-linearizable under every schedule — so the WGL
 /// checker must reject the server with a dumped minimal counterexample.
 ///
-/// Mutants only exist with the `chaos` cargo feature (`mutant_enabled`
-/// is `const false` otherwise), so this test is feature-gated.
+/// Mutants only exist with the `chaos` cargo feature (`Mutants::enabled`
+/// is `const false` otherwise), so this test is feature-gated. The mutant
+/// is enabled on each server the check builds, never process-wide, so the
+/// sibling test below runs its own server unmutated at any parallelism.
 #[cfg(feature = "chaos")]
 mod planted_mutant {
     use super::*;
-    use citrus_repro::citrus_chaos as chaos;
     use citrus_repro::citrus_serve::ServeSession;
 
     /// Newtype so the checker's panic message names the mutant, not the
@@ -176,9 +177,13 @@ mod planted_mutant {
     /// so only an immediately-following read observes the reorder.)
     #[test]
     fn reordered_ack_mutant_is_rejected_with_minimal_counterexample() {
-        let _guard = chaos::enable_mutant("serve/drain/ack-before-apply");
+        let mutated = || {
+            let server = hash_server(1);
+            server.mutants().enable("serve/drain/ack-before-apply");
+            ReorderedAckServe(server)
+        };
         let outcome = std::panic::catch_unwind(|| {
-            lincheck::check_linearizable(|| ReorderedAckServe(hash_server(1)), 1, 60, 4, 0x5E_3001);
+            lincheck::check_linearizable(mutated, 1, 60, 4, 0x5E_3001);
         });
         let payload = outcome.expect_err("the reordered-ack mutant must be rejected");
         let message = payload
